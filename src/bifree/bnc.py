@@ -20,9 +20,6 @@ from .partitions import (
     refines,
 )
 
-CHI_FIRST = None  # sentinel accepted for ray endpoints
-CHI_LAST = None
-
 
 def _check_chi(chi: str):
     if not chi or any(c not in "lr" for c in chi):

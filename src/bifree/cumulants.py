@@ -3,20 +3,68 @@
 Everything here is duck-typed over moment oracles: a "phi" is any callable
 Word -> Fraction with phi(()) == 1, and a pure distribution is any object
 with .cumulant / .conditional_cumulant methods (see distributions.py).
+
+Every moment-cumulant sum goes through `_nc_sum`.  BNC(chi) is NC(n) carried
+through the chi-order, so a sum over BNC(chi) is a sum over non-crossing
+partitions of the letters read in chi-order, and that sum splits at the block
+of the first letter into its gaps and its tail.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bnc import (
-    BncPartition,
-    classify_blocks,
-    enumerate_bnc,
-    enumerate_bnc_leq_eps,
-    mobius_to_full,
-)
+from .bnc import BncPartition, enumerate_bnc, mobius_to_full, s_chi_permutation
 from .errors import SizeError
-from .words import chi_of, eps_of, subword
+from .words import chi_of, subword
+
+
+def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fraction:
+    """Sum over pi in BNC(chi_of(w)) of the product of the block weights of pi.
+
+    A block weighs weight(block subword), or top_weight(block subword) when
+    top_weight is given and the block is outer (no other block chi-surrounds
+    it: in chi-order, outer blocks are the blocks at the top level).
+    by_pair keeps only the partitions whose blocks are eps-monochromatic;
+    skip_full leaves out the one-block partition.
+
+    Memoised on (lo, hi, top): the chi-rank interval [lo, hi) and whether it
+    lies at the top level.  A block's weight is looked up only when the rest
+    of its term is nonzero.
+    """
+    n = len(w)
+    order = s_chi_permutation(chi_of(w)) if n else ()
+    colour = [w[p - 1].pair if by_pair else None for p in order]
+    sums = {}
+
+    def total(lo, hi, top):
+        if lo == hi:
+            return 1
+        key = (lo, hi, top)
+        if key in sums:
+            return sums[key]
+        acc = 0
+        # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
+        pending = [((lo,), lo, 1)]
+        while pending:
+            block, last, coeff = pending.pop()
+            if not (skip_full and len(block) == n):
+                tail = total(last + 1, hi, top)
+                if tail:
+                    fn = top_weight if top else weight
+                    acc += coeff * tail * fn(subword(w, [order[k] for k in block]))
+            for j in range(last + 1, hi):
+                if colour[j] == colour[lo]:
+                    gap = coeff * total(last + 1, j, False)
+                    if gap:
+                        pending.append((block + (j,), j, gap))
+        sums[key] = acc
+        return acc
+
+    return Fraction(total(0, n, top_weight is not None))
+
+
+def _pure_cumulant(pures):
+    return lambda sub: pures[sub[0].pair].cumulant(sub)
 
 
 def phi_pi(d, p: BncPartition, w) -> Fraction:
@@ -43,23 +91,9 @@ def kappa_from_phi(phi, w, memo=None) -> Fraction:
         memo = {}
 
     def k(word):
-        if word in memo:
-            return memo[word]
-        if len(word) == 1:
-            val = phi(word)
-        else:
-            val = phi(word)
-            for bp in enumerate_bnc(chi_of(word)):
-                if len(bp.partition) == 1:
-                    continue
-                prod = Fraction(1)
-                for b in bp.partition.blocks:
-                    prod *= k(subword(word, b))
-                    if prod == 0:
-                        break
-                val -= prod
-        memo[word] = val
-        return val
+        if word not in memo:
+            memo[word] = phi(word) - _nc_sum(word, k, skip_full=True)
+        return memo[word]
 
     return k(w)
 
@@ -93,17 +127,7 @@ def kappa_via_mobius(d, w) -> Fraction:
 
 def moments_from_cumulants(kc, w) -> Fraction:
     """phi(w) = sum over pi in BNC(chi) of products of block cumulants."""
-    if len(w) == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for bp in enumerate_bnc(chi_of(w)):
-        prod = Fraction(1)
-        for b in bp.partition.blocks:
-            prod *= kc(subword(w, b))
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return _nc_sum(w, kc)
 
 
 def bifree_product_moment(pures, w) -> Fraction:
@@ -112,34 +136,10 @@ def bifree_product_moment(pures, w) -> Fraction:
     Sum over bi-non-crossing partitions with eps-monochromatic blocks of the
     products of blockwise pure cumulants.
     """
-    if len(w) == 0:
-        return Fraction(1)
     for letter in w:
         if letter.pair not in pures:
             raise KeyError(f"no pure distribution for pair {letter.pair!r}")
-    chi, eps = chi_of(w), eps_of(w)
-    total = Fraction(0)
-    for part in enumerate_bnc_leq_eps(chi, eps):
-        prod = Fraction(1)
-        for b in part.blocks:
-            sub = subword(w, b)
-            prod *= pures[sub[0].pair].cumulant(sub)
-            if prod == 0:
-                break
-        total += prod
-    return total
-
-
-def _conditional_term(partition, chi, w, kappa_fn, ckappa_fn) -> Fraction:
-    labels = classify_blocks(BncPartition(partition, chi))
-    prod = Fraction(1)
-    for b in partition.blocks:
-        sub = subword(w, b)
-        fn = kappa_fn if labels[b] == "inner" else ckappa_fn
-        prod *= fn(sub)
-        if prod == 0:
-            break
-    return prod
+    return _nc_sum(w, _pure_cumulant(pures), by_pair=True)
 
 
 def conditional_kappa_from(theta, kappa_fn, w, memo=None) -> Fraction:
@@ -155,17 +155,9 @@ def conditional_kappa_from(theta, kappa_fn, w, memo=None) -> Fraction:
         memo = {}
 
     def ck(word):
-        if word in memo:
-            return memo[word]
-        val = theta(word)
-        if len(word) > 1:
-            chi = chi_of(word)
-            for bp in enumerate_bnc(chi):
-                if len(bp.partition) == 1:
-                    continue
-                val -= _conditional_term(bp.partition, chi, word, kappa_fn, ck)
-        memo[word] = val
-        return val
+        if word not in memo:
+            memo[word] = theta(word) - _nc_sum(word, kappa_fn, top_weight=ck, skip_full=True)
+        return memo[word]
 
     return ck(w)
 
@@ -194,16 +186,6 @@ def conditional_product_theta(pures, w) -> Fraction:
     Sum over eps-monochromatic bi-non-crossing partitions with blockwise pure
     kappa on inner blocks and pure conditional cumulants on outer blocks.
     """
-    if len(w) == 0:
-        return Fraction(1)
-    chi, eps = chi_of(w), eps_of(w)
-    total = Fraction(0)
-    for part in enumerate_bnc_leq_eps(chi, eps):
-        total += _conditional_term(
-            part,
-            chi,
-            w,
-            lambda sub: pures[sub[0].pair].cumulant(sub),
-            lambda sub: pures[sub[0].pair].conditional_cumulant(sub),
-        )
-    return total
+    return _nc_sum(w, _pure_cumulant(pures),
+                   top_weight=lambda sub: pures[sub[0].pair].conditional_cumulant(sub),
+                   by_pair=True)

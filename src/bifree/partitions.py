@@ -42,12 +42,6 @@ class SetPartition:
     def full(n: int) -> "SetPartition":
         return SetPartition(n, (tuple(range(1, n + 1)),))
 
-    def block_containing(self, i: int):
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise KeyError(i)
-
     def block_map(self) -> dict:
         """Element -> index of its block (in canonical block order)."""
         out = {}

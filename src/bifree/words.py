@@ -46,26 +46,29 @@ def subword(w: Word, indices) -> Word:
     return tuple(w[i - 1] for i in idx)
 
 
-def _may_swap(a: Letter, b: Letter) -> bool:
-    return a.pair != b.pair and a.side != b.side
+def _key(a: Letter):
+    return (a.symbol, a.pair, a.side)
 
 
 def canonical_word(w: Word) -> Word:
     """Lexicographically least word in the commutation class of w.
 
-    Bubble-sorting with only the allowed adjacent swaps yields the least
-    representative of a trace-monoid class.
+    The lexicographic normal form of the trace monoid: repeatedly emit the
+    least letter that commutes with every letter before it.  Only two letters
+    can: the first one, and the first one of the other side when no letter
+    before it shares its pair (those letters all lie on the first one's side).
     """
-    letters = list(w)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters) - 1):
-            a, b = letters[i], letters[i + 1]
-            if _may_swap(a, b) and (b.symbol, b.pair, b.side) < (a.symbol, a.pair, a.side):
-                letters[i], letters[i + 1] = b, a
-                changed = True
-    return tuple(letters)
+    rest = list(w)
+    out = []
+    while rest:
+        pick = 0
+        for i, b in enumerate(rest):
+            if b.side != rest[0].side:
+                if all(a.pair != b.pair for a in rest[:i]) and _key(b) < _key(rest[0]):
+                    pick = i
+                break
+        out.append(rest.pop(pick))
+    return tuple(out)
 
 
 class ScalarWordSum:

@@ -1,6 +1,8 @@
 import os
 from fractions import Fraction
 
+import pytest
+
 from bifree import load_family
 from bifree.cli import main
 
@@ -150,6 +152,29 @@ def test_check_liberation(capsys):
                        "--max-len", "3")
     assert code == 0
     assert out.startswith("HOLDS checked=")
+    code, out, _ = run(capsys, "check", "--spec", PERTURBED,
+                       "--method", "liberation", "--pair", "b",
+                       "--max-len", "2")
+    assert code == 1
+    assert out.startswith("COUNTEREXAMPLE word=al bl ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("moment", "--spec", TWO_PAIRS, "--mode", "conditional", "--word", "al bl"),
+    ("check", "--spec", TWO_PAIRS, "--method", "cumulants", "--max-len", "-3"),
+    ("check", "--spec", TWO_PAIRS, "--method", "cumulants", "--max-len", "0"),
+    ("check", "--spec", TWO_PAIRS, "--method", "vaccine", "--max-len", "3",
+     "--trials", "-5", "--seed", "1"),
+    ("check", "--spec", TWO_PAIRS, "--method", "cumulants", "--max-len", "9"),
+    ("check", "--spec", SEC4, "--method", "liberation", "--pair", "1",
+     "--max-len", "9"),
+], ids=["conditional-without-theta", "max-len-negative", "max-len-zero",
+        "trials-negative", "cumulants-max-len-9", "liberation-max-len-9"])
+def test_bad_input_is_a_typed_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_check_byte_stable(capsys):

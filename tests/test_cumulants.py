@@ -1,7 +1,9 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bifree import (
     BifreeProduct,
@@ -11,16 +13,28 @@ from bifree import (
     SetPartition,
     bifree_product_moment,
     builtin_semicircular_pair,
+    chi_of,
+    classify_blocks,
     conditional_kappa,
     conditional_product_theta,
+    enumerate_bnc_leq_eps,
+    eps_of,
     kappa,
     kappa_via_mobius,
     moments_from_cumulants,
     phi_pi,
+    subword,
+    word_text,
 )
 from bifree.cumulants import conditional_kappa_from, kappa_from_phi
 
-from conftest import random_family, random_moment_pure, random_table_joint, words_up_to
+from conftest import (
+    rand_fraction,
+    random_family,
+    random_moment_pure,
+    random_table_joint,
+    words_up_to,
+)
 
 
 def test_kappa_short_words():
@@ -147,3 +161,66 @@ def test_conditional_kappa_requires_theta():
     d = BifreeProduct(random_family(rng, max_degree=2))
     with pytest.raises(ModeError):
         conditional_kappa(d, d.letters[:1])
+
+
+# Property tests of the interval recursion against the explicit sum over
+# enumerate_bnc_leq_eps, with classify_blocks telling outer from inner blocks.
+
+def _partition_sum(pures, w, conditional):
+    chi = chi_of(w)
+    total = Fraction(0)
+    for part in enumerate_bnc_leq_eps(chi, eps_of(w)):
+        labels = classify_blocks(BncPartition(part, chi))
+        prod = Fraction(1)
+        for b in part.blocks:
+            sub = subword(w, b)
+            pure = pures[sub[0].pair]
+            outer = conditional and labels[b] == "outer"
+            prod *= pure.conditional_cumulant(sub) if outer else pure.cumulant(sub)
+        total += prod
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _theta_family(pairs, seed):
+    return random_family(random.Random(seed), pairs=pairs, max_degree=8, with_theta=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ab", "abc"]), st.integers(0, 2), st.data())
+def test_product_moments_match_partition_sum(pairs, seed, data):
+    pures = _theta_family(tuple(pairs), seed)
+    letters = [l for p in pairs for l in pures[p].letters]
+    w = tuple(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8)))
+    assert bifree_product_moment(pures, w) == _partition_sum(pures, w, False)
+    assert conditional_product_theta(pures, w) == _partition_sum(pures, w, True)
+    if len(set(eps_of(w))) == 1:
+        # a pure word: the sums give back the pure tables the cumulants came from
+        pure = pures[w[0].pair]
+        assert _partition_sum(pures, w, False) == pure.moment(w)
+        assert _partition_sum(pures, w, True) == pure.theta(w)
+
+
+LETTERS = (Letter("x", "a", "l"), Letter("y", "b", "r"), Letter("z", "b", "l"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=8), st.integers(0, 10**6))
+def test_kappa_from_phi_inverts_moments_from_cumulants(w, seed):
+    def kc(sub):
+        return rand_fraction(random.Random(f"{seed}:{word_text(sub)}"))
+
+    phi = functools.partial(moments_from_cumulants, kc)
+    assert kappa_from_phi(phi, tuple(w)) == kc(tuple(w))
+
+
+@functools.lru_cache(maxsize=None)
+def _table_joint(seed):
+    return random_table_joint(LETTERS, random.Random(seed), max_len=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.lists(st.sampled_from(LETTERS), min_size=1, max_size=6))
+def test_kappa_matches_mobius_route(seed, w):
+    d = _table_joint(seed)
+    assert kappa(d, tuple(w)) == kappa_via_mobius(d, tuple(w))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bifree import (
     Letter,
@@ -52,6 +53,55 @@ def test_canonical_word_commutation():
     assert canonical_word((YR, ZL)) == (YR, ZL)
     # canonical form is a class invariant
     assert canonical_word((YR, XL, ZL)) == canonical_word((XL, YR, ZL))
+    # a1 commutes with b1 but c1 does not, so b1 must pass c1 a1 as a unit
+    c1 = Letter("c1", "q", "r")
+    a1 = Letter("a1", "q", "r")
+    b1 = Letter("b1", "p", "l")
+    assert canonical_word((c1, a1, b1)) == canonical_word((b1, c1, a1)) == (b1, c1, a1)
+
+
+ALPHABET = (XL, YR, ZL, Letter("u", "a", "r"), Letter("v", "c", "l"),
+            Letter("c1", "q", "r"), Letter("a1", "q", "r"), Letter("b1", "p", "l"))
+
+
+def _commutes(a, b):
+    return a.pair != b.pair and a.side != b.side
+
+
+def _commutation_class(w):
+    seen, todo = {w}, [w]
+    while todo:
+        v = todo.pop()
+        for i in range(len(v) - 1):
+            if _commutes(v[i], v[i + 1]):
+                u = v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+    return seen
+
+
+def _key(w):
+    return [(a.symbol, a.pair, a.side) for a in w]
+
+
+words = st.lists(st.sampled_from(ALPHABET), max_size=7).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, st.lists(st.integers(0, 5), max_size=20))
+def test_canonical_word_invariant_under_allowed_swaps(w, swaps):
+    v = w
+    for i in swaps:
+        if i + 1 < len(v) and _commutes(v[i], v[i + 1]):
+            v = v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+    assert canonical_word(v) == canonical_word(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words)
+def test_canonical_word_is_least_in_its_class(w):
+    assert canonical_word(w) == min(_commutation_class(w), key=_key)
 
 
 def test_scalar_word_sum():
