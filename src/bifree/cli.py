@@ -22,6 +22,7 @@ from .errors import BiFreeError, DomainError, ModeError, SizeError
 from .liberation import (
     ReplacementContext,
     eval_tensor,
+    liberation_derivative_check,
     replacement_expand,
     taur,
     taur_test,
@@ -117,8 +118,8 @@ def cmd_check(args) -> int:
     ctx = ReplacementContext(fam.pures)
     for w in _mixed_words(joint, args.max_len):
         checked += 1
-        c0, c1 = replacement_expand(fam.pures, w, args.pair, ctx)
-        if c0 != joint.phi(w) or c1 != eval_tensor(joint, taur(w, args.pair)):
+        if not liberation_derivative_check(fam.pures, w, args.pair, ctx, joint):
+            c0, c1 = replacement_expand(fam.pures, w, args.pair, ctx)
             print(f"COUNTEREXAMPLE word={word_text(w)} c0={c0} c1={c1}")
             return 1
     print(f"HOLDS checked={checked}")
@@ -142,10 +143,11 @@ def cmd_taur(args) -> int:
 def cmd_liberate(args) -> int:
     fam = load_family(args.spec)
     w = fam.word(args.word)
-    c0, c1 = replacement_expand(fam.pures, w, args.pair)
+    ctx = ReplacementContext(fam.pures)
     joint = fam.joint()
+    ok = liberation_derivative_check(fam.pures, w, args.pair, ctx, joint)
+    c0, c1 = replacement_expand(fam.pures, w, args.pair, ctx)
     tv = eval_tensor(joint, taur(w, args.pair))
-    ok = c0 == joint.phi(w) and c1 == tv
     print(f"c0={c0}, c1={c1}, taur={tv}, {'MATCH' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 

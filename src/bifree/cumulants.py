@@ -14,8 +14,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bnc import BncPartition, enumerate_bnc, mobius_to_full, s_chi_permutation
-from .errors import SizeError
+from .errors import InsufficientDataError, ModeError, SizeError
 from .words import chi_of, subword
+
+
+# A sum over a set of partitions is carried as (value, flag).  flag is False
+# when every partition has a block of weight 0; else an InsufficientDataError
+# when some partition has a missing block and no block of weight 0; else
+# True.  A missing block adds 0 to value.
+_ONE, _DEAD = (1, True), (0, False)
+
+
+def _mul(a, b):
+    if not (a[1] and b[1]):
+        return _DEAD
+    return a[0] * b[0], b[1] if a[1] is True else a[1]
 
 
 def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fraction:
@@ -28,39 +41,54 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fract
     skip_full leaves out the one-block partition.
 
     Memoised on (lo, hi, top): the chi-rank interval [lo, hi) and whether it
-    lies at the top level.  A block's weight is looked up only when the rest
-    of its term is nonzero.
+    lies at the top level.  A weight that raises InsufficientDataError marks
+    its block missing, and the sum raises only if some partition has a
+    missing block and no block of weight 0.  The explicit sum, which reads
+    each partition's blocks up to the first 0, raises on that partition too.
     """
     n = len(w)
     order = s_chi_permutation(chi_of(w)) if n else ()
     colour = [w[p - 1].pair if by_pair else None for p in order]
-    sums = {}
+    sums, weights = {}, {}
+
+    def block_weight(block, top):
+        if (block, top) not in weights:
+            sub = subword(w, [order[k] for k in block])
+            try:
+                v = (top_weight if top else weight)(sub)
+                weights[block, top] = (v, True) if v else _DEAD
+            except InsufficientDataError as err:
+                weights[block, top] = (0, err)
+        return weights[block, top]
 
     def total(lo, hi, top):
         if lo == hi:
-            return 1
-        key = (lo, hi, top)
-        if key in sums:
-            return sums[key]
-        acc = 0
+            return _ONE
+        if (lo, hi, top) in sums:
+            return sums[lo, hi, top]
+        value, flag = 0, False
         # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
-        pending = [((lo,), lo, 1)]
+        pending = [((lo,), lo, _ONE)]
         while pending:
             block, last, coeff = pending.pop()
             if not (skip_full and len(block) == n):
-                tail = total(last + 1, hi, top)
-                if tail:
-                    fn = top_weight if top else weight
-                    acc += coeff * tail * fn(subword(w, [order[k] for k in block]))
+                term = _mul(coeff, total(last + 1, hi, top))
+                if term[1]:
+                    term = _mul(term, block_weight(block, top))
+                    value += term[0]
+                    flag = flag if isinstance(flag, Exception) else term[1] or flag
             for j in range(last + 1, hi):
                 if colour[j] == colour[lo]:
-                    gap = coeff * total(last + 1, j, False)
-                    if gap:
+                    gap = _mul(coeff, total(last + 1, j, False))
+                    if gap[1]:
                         pending.append((block + (j,), j, gap))
-        sums[key] = acc
-        return acc
+        sums[lo, hi, top] = value, flag
+        return value, flag
 
-    return Fraction(total(0, n, top_weight is not None))
+    value, flag = total(0, n, top_weight is not None)
+    if isinstance(flag, Exception):
+        raise flag
+    return Fraction(value)
 
 
 def _pure_cumulant(pures):
@@ -100,11 +128,7 @@ def kappa_from_phi(phi, w, memo=None) -> Fraction:
 
 def kappa(d, w) -> Fraction:
     """Bi-free cumulant of w under the joint distribution d (memoized on d)."""
-    memo = getattr(d, "_kappa_memo", None)
-    if memo is None:
-        memo = {}
-        setattr(d, "_kappa_memo", memo)
-    return kappa_from_phi(d.phi, w, memo)
+    return kappa_from_phi(d.phi, w, vars(d).setdefault("_kappa_memo", {}))
 
 
 def kappa_via_mobius(d, w) -> Fraction:
@@ -113,16 +137,9 @@ def kappa_via_mobius(d, w) -> Fraction:
         raise ValueError("cumulants are defined for words of length >= 1")
     chi = chi_of(w)
     mu = mobius_to_full(chi)
-    total = Fraction(0)
-    for bp in enumerate_bnc(chi):
-        m = mu[bp.partition.blocks]
-        prod = Fraction(m)
-        for b in bp.partition.blocks:
-            if prod == 0:
-                break
-            prod *= d.phi(subword(w, b))
-        total += prod
-    return total
+    # mu(pi, full) is never 0 on a non-crossing lattice, so phi_pi reads what is needed
+    return sum((mu[bp.partition.blocks] * phi_pi(d, bp, w) for bp in enumerate_bnc(chi)),
+               Fraction(0))
 
 
 def moments_from_cumulants(kc, w) -> Fraction:
@@ -164,20 +181,11 @@ def conditional_kappa_from(theta, kappa_fn, w, memo=None) -> Fraction:
 
 def conditional_kappa(d, w) -> Fraction:
     """Mixed conditional cumulant of w under a joint distribution with a theta layer."""
-    from .errors import ModeError
-
     theta = getattr(d, "theta", None)
     if theta is None:
         raise ModeError("distribution has no theta layer")
-    memo = getattr(d, "_ckappa_memo", None)
-    if memo is None:
-        memo = {}
-        setattr(d, "_ckappa_memo", memo)
-
-    def kap(word):
-        return kappa(d, word)
-
-    return conditional_kappa_from(theta, kap, w, memo)
+    return conditional_kappa_from(theta, lambda word: kappa(d, word), w,
+                                  vars(d).setdefault("_ckappa_memo", {}))
 
 
 def conditional_product_theta(pures, w) -> Fraction:

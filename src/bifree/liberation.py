@@ -377,9 +377,15 @@ def ubm_power_expansion(m: int):
     return _expand_tokens(ReplacementContext({}), [("u", "l", 1)] * m)
 
 
-def liberation_derivative_check(pures, w, iota, ctx=None) -> bool:
-    """Exact agreement of the expansion with the tensor-map derivative formula."""
+def liberation_derivative_check(pures, w, iota, ctx=None, joint=None) -> bool:
+    """Exact agreement of the expansion with the tensor-map derivative formula.
+
+    The expansion is compared with `joint` (default: the bi-free product
+    of `pures`, ctx.base).
+    """
     if ctx is None:
         ctx = ReplacementContext(pures)
+    if joint is None:
+        joint = ctx.base
     c0, c1 = replacement_expand(pures, w, iota, ctx)
-    return c0 == ctx.base.phi(w) and c1 == eval_tensor(ctx.base, taur(w, iota))
+    return c0 == joint.phi(w) and c1 == eval_tensor(joint, taur(w, iota))

@@ -107,6 +107,17 @@ def test_moment_unknown_symbol_exits_2(capsys):
     assert "nope" in err
 
 
+def test_moment_skips_entries_behind_a_zero_factor(capsys):
+    # Every partition of "x y y y" holds the block {x}, whose cumulant (the
+    # mean of x) is 0, so the missing degree-3 entry "y y y" is never needed.
+    code, out, _ = run(capsys, "moment", "--spec", SEC4, "--word", "x y y y")
+    assert (code, out) == (0, "0\n")
+    # {x x}{y y y} has no zero block, so here the entry is needed.
+    code, out, err = run(capsys, "moment", "--spec", SEC4, "--word", "x x y y y")
+    assert code == 2 and out == ""
+    assert "y y y" in err
+
+
 def test_check_cumulants(capsys):
     code, out, _ = run(capsys, "check", "--spec", TWO_PAIRS,
                        "--method", "cumulants", "--max-len", "4")

@@ -16,7 +16,9 @@ from bifree import (
     chi_of,
     classify_blocks,
     conditional_kappa,
+    InsufficientDataError,
     conditional_product_theta,
+    enumerate_bnc,
     enumerate_bnc_leq_eps,
     eps_of,
     kappa,
@@ -165,6 +167,8 @@ def test_conditional_kappa_requires_theta():
 
 # Property tests of the interval recursion against the explicit sum over
 # enumerate_bnc_leq_eps, with classify_blocks telling outer from inner blocks.
+# Like the loops the recursion replaced, the explicit sums read a partition's
+# blocks in order and stop at the first zero factor.
 
 def _partition_sum(pures, w, conditional):
     chi = chi_of(w)
@@ -177,8 +181,27 @@ def _partition_sum(pures, w, conditional):
             pure = pures[sub[0].pair]
             outer = conditional and labels[b] == "outer"
             prod *= pure.conditional_cumulant(sub) if outer else pure.cumulant(sub)
+            if prod == 0:
+                break
         total += prod
     return total
+
+
+def _kappa_sum(phi, w, memo):
+    """kappa(w) = phi(w) minus the explicit sum over the non-full BNC partitions."""
+    if w not in memo:
+        val = phi(w)
+        for bp in enumerate_bnc(chi_of(w)):
+            if len(bp.partition) == 1:
+                continue
+            prod = Fraction(1)
+            for b in bp.partition.blocks:
+                prod *= _kappa_sum(phi, subword(w, b), memo)
+                if prod == 0:
+                    break
+            val -= prod
+        memo[w] = val
+    return memo[w]
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,3 +247,68 @@ def _table_joint(seed):
 def test_kappa_matches_mobius_route(seed, w):
     d = _table_joint(seed)
     assert kappa(d, tuple(w)) == kappa_via_mobius(d, tuple(w))
+
+
+class _TruncatedTable:
+    """A word -> value table with many zeros and about a quarter of its entries missing.
+
+    With fill=None a missing entry raises InsufficientDataError; with an
+    integer fill it reads as a nonzero value that depends on fill.
+    """
+
+    def __init__(self, seed, fill=None):
+        self.seed, self.fill = seed, fill
+
+    def __call__(self, sub):
+        text = word_text(sub)
+        rng = random.Random(f"{self.seed}:{text}")
+        if rng.random() < 0.25:
+            if self.fill is None:
+                raise InsufficientDataError(text)
+            return Fraction(random.Random(f"{self.fill}:{self.seed}:{text}").randint(1, 9), 7)
+        return rng.choice((Fraction(0), Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)))
+
+
+class _TablePure:
+    def __init__(self, seed, fill=None):
+        self.cumulant = _TruncatedTable(f"{seed}:kappa", fill)
+        self.conditional_cumulant = _TruncatedTable(f"{seed}:theta", fill)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or None if it raises InsufficientDataError."""
+    try:
+        return fn(*args)
+    except InsufficientDataError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["ab", "abc"]), st.integers(0, 10**6), st.data())
+def test_truncated_tables_raise_only_where_partition_sum_raises(pairs, seed, data):
+    # A value the recursion gives must not depend on the entries it was
+    # missing: it equals the explicit sum under every filling of them.
+    def pures(fill):
+        return {p: _TablePure(f"{seed}:{p}", fill) for p in pairs}
+
+    letters = [Letter(f"{p}{side}", p, side) for p in pairs for side in "lr"]
+    w = tuple(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8)))
+    for fn, conditional in ((bifree_product_moment, False), (conditional_product_theta, True)):
+        got = _outcome(fn, pures(None), w)
+        if got is None:
+            assert _outcome(_partition_sum, pures(None), w, conditional) is None
+        else:
+            for fill in (1, 2):
+                assert got == _partition_sum(pures(fill), w, conditional)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=6), st.integers(0, 10**6))
+def test_truncated_phi_kappa_raises_only_where_partition_sum_raises(w, seed):
+    w = tuple(w)
+    got = _outcome(kappa_from_phi, _TruncatedTable(seed), w)
+    if got is None:
+        assert _outcome(_kappa_sum, _TruncatedTable(seed), w, {}) is None
+    else:
+        for fill in (1, 2):
+            assert got == _kappa_sum(_TruncatedTable(seed, fill), w, {})
