@@ -84,6 +84,7 @@ from .vaccine import (
 )
 from .words import (
     Letter,
+    LinearSum,
     ScalarWordSum,
     canonical_word,
     chi_of,
@@ -91,6 +92,7 @@ from .words import (
     shifted_product_expansion,
     subword,
     word_text,
+    words_up_to,
 )
 
 __version__ = "0.1.0"

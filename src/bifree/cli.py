@@ -32,21 +32,24 @@ from .liberation import (
 from .partitions import format_partition, parse_partition
 from .specfile import load_family
 from .vaccine import vaccine_reconstruct_moment, vaccine_test
-from .words import eps_of, word_text
+from .words import word_text, words_up_to
 
 
 def _parse_eps(text: str) -> tuple:
     return tuple(tok.strip() for tok in text.split(","))
 
 
-def _mixed_words(d, max_len):
-    alphabet = [d.letters_by_face()[k] for k in sorted(d.letters_by_face())]
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (a,) for w in words for a in alphabet]
-        for w in words:
-            if len(set(eps_of(w))) > 1:
-                yield w
+def _pair(fam, pair):
+    """The --pair argument, which must name a pair of the spec when given."""
+    if pair is not None and pair not in fam.pures:
+        raise DomainError(f"--pair {pair!r} names no pair of the spec")
+    return pair
+
+
+def _require_checked(count, reason):
+    """A scan that checked nothing proves nothing: an error, not HOLDS."""
+    if count == 0:
+        raise DomainError(f"vacuous scan: {reason}")
 
 
 def cmd_bnc(args) -> int:
@@ -95,33 +98,33 @@ def cmd_check(args) -> int:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
     fam = load_family(args.spec)
     joint = fam.joint()
-    if args.method == "cumulants":
-        checked = 0
-        for w in _mixed_words(joint, args.max_len):
-            value = cm.kappa(joint, w)
-            checked += 1
-            if value != 0:
-                print(f"COUNTEREXAMPLE word={word_text(w)} value={value}")
-                return 1
-        print(f"HOLDS checked={checked}")
-        return 0
+    pair = _pair(fam, args.pair)
     if args.method == "vaccine":
         verdict = vaccine_test(joint, args.max_len, args.trials, args.seed)
+        _require_checked(verdict.trials,
+                         f"no centred trial completed ({verdict.skipped} skipped)")
         print(verdict.render())
         return 0 if verdict.holds else 1
     if args.method == "taur":
-        verdict = taur_test(joint, args.pair, args.max_len, widen=args.widen)
+        verdict = taur_test(joint, pair, args.max_len, widen=args.widen)
         print(verdict.render())
         return 0 if verdict.holds else 1
-    # method == "liberation": compared with the spec's joint, perturbations included
+    # cumulants, and liberation compared with the spec's joint, perturbations included
     checked = 0
     ctx = ReplacementContext(fam.pures)
-    for w in _mixed_words(joint, args.max_len):
+    for w in words_up_to(joint.one_per_face(), args.max_len, mixed_only=True):
         checked += 1
-        if not liberation_derivative_check(fam.pures, w, args.pair, ctx, joint):
-            c0, c1 = replacement_expand(fam.pures, w, args.pair, ctx)
+        if args.method == "cumulants":
+            value = cm.kappa(joint, w)
+            if value != 0:
+                print(f"COUNTEREXAMPLE word={word_text(w)} value={value}")
+                return 1
+        elif not liberation_derivative_check(fam.pures, w, pair, ctx, joint):
+            c0, c1 = replacement_expand(fam.pures, w, pair, ctx)
             print(f"COUNTEREXAMPLE word={word_text(w)} c0={c0} c1={c1}")
             return 1
+    _require_checked(checked, "no mixed word to check (mixed words need two pairs "
+                              "and --max-len of at least 2)")
     print(f"HOLDS checked={checked}")
     return 0
 
@@ -136,18 +139,19 @@ def cmd_ubm(args) -> int:
 
 def cmd_taur(args) -> int:
     fam = load_family(args.spec)
-    print(taur(fam.word(args.word), args.pair).render())
+    print(taur(fam.word(args.word), _pair(fam, args.pair)).render())
     return 0
 
 
 def cmd_liberate(args) -> int:
     fam = load_family(args.spec)
     w = fam.word(args.word)
+    pair = _pair(fam, args.pair)
     ctx = ReplacementContext(fam.pures)
     joint = fam.joint()
-    ok = liberation_derivative_check(fam.pures, w, args.pair, ctx, joint)
-    c0, c1 = replacement_expand(fam.pures, w, args.pair, ctx)
-    tv = eval_tensor(joint, taur(w, args.pair))
+    ok = liberation_derivative_check(fam.pures, w, pair, ctx, joint)
+    c0, c1 = replacement_expand(fam.pures, w, pair, ctx)
+    tv = eval_tensor(joint, taur(w, pair))
     print(f"c0={c0}, c1={c1}, taur={tv}, {'MATCH' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 

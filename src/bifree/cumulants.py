@@ -128,7 +128,7 @@ def kappa_from_phi(phi, w, memo=None) -> Fraction:
 
 def kappa(d, w) -> Fraction:
     """Bi-free cumulant of w under the joint distribution d (memoized on d)."""
-    return kappa_from_phi(d.phi, w, vars(d).setdefault("_kappa_memo", {}))
+    return kappa_from_phi(d.phi, w, d._kappa_memo)
 
 
 def kappa_via_mobius(d, w) -> Fraction:
@@ -184,8 +184,7 @@ def conditional_kappa(d, w) -> Fraction:
     theta = getattr(d, "theta", None)
     if theta is None:
         raise ModeError("distribution has no theta layer")
-    return conditional_kappa_from(theta, lambda word: kappa(d, word), w,
-                                  vars(d).setdefault("_ckappa_memo", {}))
+    return conditional_kappa_from(theta, lambda word: kappa(d, word), w, d._ckappa_memo)
 
 
 def conditional_product_theta(pures, w) -> Fraction:

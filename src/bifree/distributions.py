@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import cumulants
 from .errors import InsufficientDataError, ModeError
-from .words import Letter, ScalarWordSum, canonical_word, eps_of, word_text
+from .words import Letter, ScalarWordSum, canonical_word, word_text
 
 
 class PureDistribution:
@@ -160,21 +160,28 @@ def builtin_haar_pair(pair, symbols=None) -> PureDistribution:
 
 
 class JointDistribution:
-    """Base joint moment oracle: subclasses provide phi (and optionally theta)."""
+    """Base joint moment oracle: subclasses provide phi (and optionally theta).
+
+    It owns the memos of `cumulants.kappa` and `cumulants.conditional_kappa`.
+    """
 
     letters = ()
+
+    def __init__(self):
+        self._kappa_memo = {}
+        self._ckappa_memo = {}
 
     def phi(self, w) -> Fraction:
         raise NotImplementedError
 
     theta = None  # overridden where a theta layer exists
 
-    def letters_by_face(self):
-        """First generator per (pair, side), by symbol order."""
+    def one_per_face(self):
+        """The first generator (by symbol) of each (pair, side), faces in sorted order."""
         faces = {}
         for letter in sorted(self.letters, key=lambda l: l.symbol):
             faces.setdefault((letter.pair, letter.side), letter)
-        return faces
+        return [faces[k] for k in sorted(faces)]
 
     @property
     def pairs(self):
@@ -185,6 +192,7 @@ class BifreeProduct(JointDistribution):
     """Joint distribution of bi-freely independent pairs given by pure oracles."""
 
     def __init__(self, pures):
+        super().__init__()
         self.pures = dict(pures)
         self._phi_memo = {}
         self._theta_memo = {}
@@ -212,6 +220,7 @@ class TableJoint(JointDistribution):
     """Joint distribution read off an explicit table keyed by canonical words."""
 
     def __init__(self, letters, table):
+        super().__init__()
         self._letters = tuple(letters)
         self.table = {canonical_word(k): Fraction(v) for k, v in table.items()}
 
@@ -233,6 +242,7 @@ class PerturbedJoint(JointDistribution):
     """A base joint distribution with finitely many moments shifted."""
 
     def __init__(self, base: JointDistribution, deltas):
+        super().__init__()
         self.base = base
         self.deltas = {canonical_word(k): Fraction(v) for k, v in deltas.items()}
         if base.theta is not None:
@@ -252,16 +262,10 @@ class PerturbedJoint(JointDistribution):
 
 def evaluate(d, s: ScalarWordSum) -> Fraction:
     """Linear extension of the moment oracle to word sums."""
-    total = Fraction(0)
-    for w, c in s.items():
-        total += c * d.phi(w)
-    return total
+    return s.evaluate(d.phi)
 
 
 def evaluate_theta(d, s: ScalarWordSum) -> Fraction:
     if d.theta is None:
         raise ModeError("distribution has no theta layer")
-    total = Fraction(0)
-    for w, c in s.items():
-        total += c * d.theta(w)
-    return total
+    return s.evaluate(d.theta)

@@ -14,67 +14,7 @@ from fractions import Fraction
 from .bnc import chi_interval, chi_precedes
 from .distributions import BifreeProduct, builtin_semicircular_pair
 from .errors import DomainError
-from .words import Letter, chi_of, eps_of, subword, word_text
-
-
-class TensorSum:
-    """A formal rational combination of (left-word, right-word) tensor pairs."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for (lw, rw), c in terms.items() if isinstance(terms, dict) else terms:
-                self.add(lw, rw, c)
-
-    def add(self, left, right, coeff):
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return self
-        key = (tuple(left), tuple(right))
-        new = self.terms.get(key, 0) + coeff
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
-        return self
-
-    def __add__(self, other):
-        s = TensorSum(dict(self.terms))
-        for (lw, rw), c in other.terms.items():
-            s.add(lw, rw, c)
-        return s
-
-    def scaled(self, coeff):
-        coeff = Fraction(coeff)
-        s = TensorSum()
-        if coeff != 0:
-            for key, c in self.terms.items():
-                s.terms[key] = c * coeff
-        return s
-
-    def items(self):
-        return self.terms.items()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSum) and self.terms == other.terms
-
-    def render(self) -> str:
-        """One `±p/q · [left] ⊗ [right]` line per term, sorted lexicographically."""
-        lines = []
-        for (lw, rw), c in sorted(
-                self.terms.items(),
-                key=lambda kv: (word_text(kv[0][0]), word_text(kv[0][1]))):
-            sign = "+" if c > 0 else "-"
-            lines.append(f"{sign}{abs(c)} · [{word_text(lw)}] ⊗ [{word_text(rw)}]")
-        return "\n".join(lines) if lines else "0"
-
-    def __repr__(self):
-        return f"TensorSum({self.render()!r})"
+from .words import TensorSum, chi_of, subword, word_text, words_up_to
 
 
 def taur(w, iota) -> TensorSum:
@@ -85,11 +25,8 @@ def taur(w, iota) -> TensorSum:
     (complement subword) tensor (interval subword).
     """
     out = TensorSum()
-    if len(w) == 0:
-        return out
     chi = chi_of(w)
-    eps = eps_of(w)
-    positions = [i for i in range(1, len(w) + 1) if eps[i - 1] == iota]
+    positions = [i for i, letter in enumerate(w, 1) if letter.pair == iota]
     everything = set(range(1, len(w) + 1))
     for i in positions:
         for j in positions:
@@ -99,17 +36,14 @@ def taur(w, iota) -> TensorSum:
                     (True, True, 1), (True, False, -1),
                     (False, True, -1), (False, False, 1)):
                 interval = chi_interval(chi, i, j, left_closed, right_closed)
-                out.add(subword(w, everything - interval),
-                        subword(w, interval), sign)
+                out.add((subword(w, everything - interval),
+                         subword(w, interval)), sign)
     return out
 
 
 def eval_tensor(d, t: TensorSum) -> Fraction:
     """(phi tensor phi) applied to a tensor sum."""
-    total = Fraction(0)
-    for (lw, rw), c in t.items():
-        total += c * d.phi(lw) * d.phi(rw)
-    return total
+    return t.evaluate(lambda key: d.phi(key[0]) * d.phi(key[1]))
 
 
 @dataclass
@@ -140,18 +74,15 @@ def taur_test(d, iota, max_len, widen=False) -> TaurVerdict:
     if widen:
         alphabet = sorted(d.letters, key=lambda l: l.symbol)
     else:
-        alphabet = [d.letters_by_face()[k] for k in sorted(d.letters_by_face())]
+        alphabet = d.one_per_face()
     certified = len(d.pairs) <= 2
     checked = 0
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (a,) for w in words for a in alphabet]
-        for w in words:
-            value = eval_tensor(d, taur(w, iota))
-            checked += 1
-            if value != 0:
-                return TaurVerdict(holds=False, checked=checked,
-                                   certified=certified, word=w, value=value)
+    for w in words_up_to(alphabet, max_len):
+        value = eval_tensor(d, taur(w, iota))
+        checked += 1
+        if value != 0:
+            return TaurVerdict(holds=False, checked=checked,
+                               certified=certified, word=w, value=value)
     return TaurVerdict(holds=True, checked=checked, certified=certified)
 
 
@@ -168,8 +99,8 @@ def free_delta(w, iota) -> TensorSum:
     for i in range(1, n + 1):
         if w[i - 1].pair != iota:
             continue
-        out.add(w[:i - 1], w[i - 1:], -1)
-        out.add(w[:i], w[i:], 1)
+        out.add((w[:i - 1], w[i - 1:]), -1)
+        out.add((w[:i], w[i:]), 1)
     return out
 
 
@@ -207,31 +138,21 @@ class ExpPoly:
     def __init__(self, terms=None):
         # rate -> tuple of coefficients (index = power of t)
         self.terms = {}
-        if terms:
-            for rate, coeffs in terms.items() if isinstance(terms, dict) else terms:
-                self.add_term(rate, coeffs)
+        for rate, coeffs in (terms or {}).items():
+            self.add_term(rate, coeffs)
 
     def add_term(self, rate, coeffs):
         rate = Fraction(rate)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            return self
-        if rate in self.terms:
-            old = self.terms[rate]
-            size = max(len(old), len(coeffs))
-            merged = tuple(
-                (old[k] if k < len(old) else 0) + (coeffs[k] if k < len(coeffs) else 0)
-                for k in range(size))
-            while merged and merged[-1] == 0:
-                merged = merged[:-1]
-            if merged:
-                self.terms[rate] = merged
-            else:
-                del self.terms[rate]
+        merged = list(self.terms.get(rate, ()))
+        merged += [Fraction(0)] * (len(coeffs) - len(merged))
+        for k, c in enumerate(coeffs):
+            merged[k] += Fraction(c)
+        while merged and merged[-1] == 0:
+            merged.pop()
+        if merged:
+            self.terms[rate] = tuple(merged)
         else:
-            self.terms[rate] = coeffs
+            self.terms.pop(rate, None)
         return self
 
     def eval(self, t: float) -> float:

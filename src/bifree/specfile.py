@@ -20,7 +20,6 @@ from .distributions import (
     MomentTablePure,
     PerturbedJoint,
 )
-from .words import Letter
 
 
 def parse_rational(v) -> Fraction:

@@ -16,7 +16,6 @@ from .bnc import maximal_mono_intervals
 from .distributions import evaluate
 from .errors import DegenerateCentringError
 from .words import (
-    ScalarWordSum,
     chi_of,
     eps_of,
     shifted_product_expansion,
@@ -39,13 +38,6 @@ def _oracle(pures):
     return pure_phi
 
 
-def _eval_sum(oracle, s: ScalarWordSum) -> Fraction:
-    total = Fraction(0)
-    for w, c in s.items():
-        total += c * oracle(w)
-    return total
-
-
 def _rand_rational(rng) -> Fraction:
     return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
 
@@ -56,20 +48,15 @@ def _centre_interval(oracle, sub, rng) -> list:
     for _ in range(_RESAMPLE_LIMIT):
         trial = [_rand_rational(rng) for _ in range(k)]
         for pivot in range(k - 1, -1, -1):
-            shifts = {i + 1: trial[i] for i in range(k) if i != pivot}
+            others = [i for i in range(k) if i != pivot]
+            shifts = {i + 1: trial[i] for i in others}
             # linear coefficient of -c_pivot: the product with that factor removed
-            reduced = tuple(sub[i] for i in range(k) if i != pivot)
-            reduced_shifts = {}
-            j = 0
-            for i in range(k):
-                if i == pivot:
-                    continue
-                j += 1
-                reduced_shifts[j] = trial[i]
-            g = _eval_sum(oracle, shifted_product_expansion(reduced, reduced_shifts))
+            reduced = tuple(sub[i] for i in others)
+            reduced_shifts = {j: trial[i] for j, i in enumerate(others, 1)}
+            g = shifted_product_expansion(reduced, reduced_shifts).evaluate(oracle)
             if g == 0:
                 continue
-            f0 = _eval_sum(oracle, shifted_product_expansion(sub, shifts))
+            f0 = shifted_product_expansion(sub, shifts).evaluate(oracle)
             out = list(trial)
             out[pivot] = f0 / g
             return out
@@ -170,12 +157,8 @@ def vaccine_reconstruct_moment(pures, w, seed=0, cache=None) -> Fraction:
             return cache[word]
         shifts = centred_shifts(pures, word, seed=f"{seed}:{word_text(word)}")
         expansion = shifted_product_expansion(word, shifts)
-        total = Fraction(0)
-        for sub, coeff in expansion.items():
-            if len(sub) == len(word):
-                continue
-            total += coeff * rec(sub)
-        value = -total  # the full word's coefficient in the expansion is 1
+        # the full word's coefficient in the expansion is 1
+        value = -expansion.evaluate(lambda sub: rec(sub) if len(sub) < len(word) else 0)
         cache[word] = value
         return value
 

@@ -1,4 +1,4 @@
-"""Letters, words, and formal rational combinations of words.
+"""Letters, words, and formal rational linear combinations.
 
 A letter is a generator symbol tagged with its pair-id and side; a word is a
 tuple of letters (the empty tuple is the unit).  Opposite-side letters of
@@ -7,19 +7,19 @@ representative of that commutation class, which is what moment tables key on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Letter:
-    symbol: str
-    pair: str
-    side: str  # "l" or "r"
+class Letter(namedtuple("Letter", "symbol pair side")):
+    """A generator: symbol, pair id and side ("l" or "r").  Letters order as tuples."""
 
-    def __post_init__(self):
-        if self.side not in ("l", "r"):
-            raise ValueError(f"side must be 'l' or 'r', got {self.side!r}")
+    __slots__ = ()
+
+    def __new__(cls, symbol, pair, side):
+        if side not in ("l", "r"):
+            raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+        return super().__new__(cls, symbol, pair, side)
 
 
 Word = tuple  # tuple of Letter
@@ -46,10 +46,6 @@ def subword(w: Word, indices) -> Word:
     return tuple(w[i - 1] for i in idx)
 
 
-def _key(a: Letter):
-    return (a.symbol, a.pair, a.side)
-
-
 def canonical_word(w: Word) -> Word:
     """Lexicographically least word in the commutation class of w.
 
@@ -64,88 +60,108 @@ def canonical_word(w: Word) -> Word:
         pick = 0
         for i, b in enumerate(rest):
             if b.side != rest[0].side:
-                if all(a.pair != b.pair for a in rest[:i]) and _key(b) < _key(rest[0]):
+                if all(a.pair != b.pair for a in rest[:i]) and b < rest[0]:
                     pick = i
                 break
         out.append(rest.pop(pick))
     return tuple(out)
 
 
-class ScalarWordSum:
-    """A formal rational linear combination of words; zero coefficients dropped."""
+def words_up_to(letters, max_len, mixed_only=False):
+    """Every word of 1..max_len letters, by length and then in alphabet order.
+
+    mixed_only keeps only the words with letters from more than one pair.
+    """
+    words = [()]
+    for _ in range(max_len):
+        words = [w + (a,) for w in words for a in letters]
+        for w in words:
+            if not mixed_only or len(set(eps_of(w))) > 1:
+                yield w
+
+
+class LinearSum:
+    """A formal rational linear combination: hashable key -> nonzero Fraction.
+
+    Keys are words for scalar sums and (left word, right word) pairs for
+    tensor sums.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items() if isinstance(terms, dict) else terms:
-                self.add(w, c)
+        self.terms = {key: Fraction(c) for key, c in (terms or {}).items() if c}
 
     @classmethod
     def word(cls, w: Word, coeff=1):
-        s = cls()
-        s.add(w, coeff)
-        return s
+        return cls().add(w, coeff)
 
-    def add(self, w: Word, coeff):
+    def add(self, key, coeff):
         coeff = Fraction(coeff)
         if coeff == 0:
             return self
-        new = self.terms.get(w, 0) + coeff
+        new = self.terms.get(key, 0) + coeff
         if new == 0:
-            self.terms.pop(w, None)
+            self.terms.pop(key, None)
         else:
-            self.terms[w] = new
+            self.terms[key] = new
         return self
 
     def __add__(self, other):
-        s = ScalarWordSum(dict(self.terms))
-        for w, c in other.terms.items():
-            s.add(w, c)
+        s = LinearSum(self.terms)
+        for key, c in other.items():
+            s.add(key, c)
         return s
 
     def scaled(self, coeff):
         coeff = Fraction(coeff)
-        s = ScalarWordSum()
-        if coeff != 0:
-            for w, c in self.terms.items():
-                s.terms[w] = c * coeff
-        return s
+        return LinearSum({key: c * coeff for key, c in self.terms.items()})
 
     def items(self):
         return self.terms.items()
 
+    def is_zero(self):
+        return not self.terms
+
     def __eq__(self, other):
-        return isinstance(other, ScalarWordSum) and self.terms == other.terms
+        return isinstance(other, LinearSum) and self.terms == other.terms
 
-    def __repr__(self):
-        if not self.terms:
-            return "ScalarWordSum(0)"
-        bits = [f"{c}*[{word_text(w)}]" for w, c in sorted(self.terms.items(), key=lambda t: word_text(t[0]))]
-        return "ScalarWordSum(" + " + ".join(bits) + ")"
+    def evaluate(self, f) -> Fraction:
+        """The linear extension of f: the sum of c * f(key) over the terms."""
+        total = Fraction(0)
+        for key, c in self.terms.items():
+            total += c * f(key)
+        return total
+
+    def render(self) -> str:
+        """For a tensor sum: one `±p/q · [left] ⊗ [right]` line per term, sorted."""
+        lines = []
+        for (lw, rw), c in sorted(
+                self.terms.items(),
+                key=lambda kv: (word_text(kv[0][0]), word_text(kv[0][1]))):
+            sign = "+" if c > 0 else "-"
+            lines.append(f"{sign}{abs(c)} · [{word_text(lw)}] ⊗ [{word_text(rw)}]")
+        return "\n".join(lines) if lines else "0"
 
 
-def shifted_product_expansion(w: Word, shifts) -> ScalarWordSum:
+ScalarWordSum = TensorSum = LinearSum
+
+
+def shifted_product_expansion(w: Word, shifts) -> LinearSum:
     """Expansion of prod_i (z_i - c_i) as a word sum.
 
-    `shifts` maps 1-based position -> rational shift (missing = 0).
+    `shifts` maps 1-based position -> rational shift (missing = 0).  The
+    binomials are multiplied in one at a time, so the kept words share their
+    prefixes; a zero shift leaves only the branch that keeps its letter.
     """
-    n = len(w)
-    out = ScalarWordSum()
-    # iterate over subsets kept as letters; complement contributes prod(-c_i)
-    for mask in range(1 << n):
-        coeff = Fraction(1)
-        kept = []
-        for i in range(n):
-            if mask >> i & 1:
-                kept.append(w[i])
-            else:
-                c = Fraction(shifts.get(i + 1, 0))
-                if c == 0:
-                    coeff = 0
-                    break
-                coeff *= -c
-        if coeff != 0:
-            out.add(tuple(kept), coeff)
-    return out
+    terms = {(): Fraction(1)}
+    for i, letter in enumerate(w, 1):
+        c = -Fraction(shifts.get(i, 0))
+        step = {}
+        for kept, coeff in terms.items():
+            longer = kept + (letter,)
+            step[longer] = step.get(longer, 0) + coeff
+            if c:
+                step[kept] = step.get(kept, 0) + c * coeff
+        terms = step
+    return LinearSum(terms)

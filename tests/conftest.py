@@ -2,7 +2,7 @@
 import itertools
 from fractions import Fraction
 
-from bifree import BifreeProduct, Letter, MomentTablePure, TableJoint, eps_of
+from bifree import MomentTablePure, TableJoint, words_up_to
 
 
 def rand_fraction(rng, lo=-4, hi=4, dmax=3):
@@ -39,23 +39,6 @@ def random_family(rng, pairs=("a", "b"), max_degree=6, with_theta=False,
 def random_table_joint(letters, rng, max_len=6):
     """A joint moment table with one random value per commutation class."""
     table = {}
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (a,) for w in words for a in letters]
-        for w in words:
-            table.setdefault(w, rand_fraction(rng))
+    for w in words_up_to(letters, max_len):
+        table.setdefault(w, rand_fraction(rng))
     return TableJoint(letters, table)
-
-
-def words_up_to(letters, max_len, mixed_only=False):
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (a,) for w in words for a in letters]
-        for w in words:
-            if mixed_only and len(set(eps_of(w))) < 2:
-                continue
-            yield w
-
-
-def one_per_face(d):
-    return [d.letters_by_face()[k] for k in sorted(d.letters_by_face())]

@@ -47,7 +47,6 @@ from conftest import (
     random_moment_pure,
     random_table_joint,
     words_up_to,
-    one_per_face,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -141,7 +140,7 @@ def test_criterion_6_three_way_equivalence():
         extra = ("a",) if seed >= 3 else ()
         pures = random_family(rng, max_degree=6, extra_left=extra)
         d = BifreeProduct(pures)
-        for w in words_up_to(one_per_face(d), 5, mixed_only=True):
+        for w in words_up_to(d.one_per_face(), 5, mixed_only=True):
             assert kappa(d, w) == 0
         verdict = vaccine_test(d, 5, 100, seed=600 + seed)
         assert verdict.holds and verdict.trials == 100 and verdict.skipped == 0
@@ -166,7 +165,7 @@ def test_criterion_8_reconstruction_uniqueness():
     d = BifreeProduct(pures)
     for seed in (0, 1, 2):
         cache = {}
-        for w in words_up_to(one_per_face(d), 6, mixed_only=True):
+        for w in words_up_to(d.one_per_face(), 6, mixed_only=True):
             assert vaccine_reconstruct_moment(pures, w, seed=seed, cache=cache) \
                 == d.phi(w)
     print("criterion 8: PASS (reconstruction = product moment, 3 seeds, |w| <= 6)")
@@ -180,7 +179,7 @@ def test_criterion_9_conditional_factorization():
     def theta_of_sum(pure, s):
         return sum((c * pure.theta(v) for v, c in s.items()), Fraction(0))
 
-    for w in words_up_to(one_per_face(d), 5, mixed_only=True):
+    for w in words_up_to(d.one_per_face(), 5, mixed_only=True):
         shifts = centred_shifts(pures, w)
         lhs = evaluate_theta(d, shifted_product_expansion(w, shifts))
         rhs = Fraction(1)
@@ -199,7 +198,7 @@ def test_criterion_10_liberation_derivative():
         rng = random.Random(100 + seed)
         pures = random_family(rng, max_degree=5)
         ctx = ReplacementContext(pures)
-        for w in words_up_to(one_per_face(ctx.base), 5, mixed_only=True):
+        for w in words_up_to(ctx.base.one_per_face(), 5, mixed_only=True):
             for iota in ("a", "b"):
                 c0, c1 = replacement_expand(pures, w, iota, ctx)
                 assert c0 == ctx.base.phi(w)

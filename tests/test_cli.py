@@ -1,3 +1,7 @@
+import contextlib
+import io
+import itertools
+import json
 import os
 from fractions import Fraction
 
@@ -11,6 +15,9 @@ TWO_PAIRS = os.path.join(DATA, "two_pairs.json")
 PERTURBED = os.path.join(DATA, "perturbed.json")
 SEC4 = os.path.join(DATA, "sec4.json")
 CONDITIONAL = os.path.join(DATA, "conditional.json")
+ONE_PAIR = os.path.join(DATA, "one_pair.json")
+GOLDEN = os.path.join(DATA, "cli_golden.jsonl")
+GOLDEN_SPECS = ("conditional", "perturbed", "sec4", "two_pairs")
 
 CHI8 = "rlllrrlr"
 
@@ -179,8 +186,28 @@ def test_check_liberation(capsys):
     ("check", "--spec", TWO_PAIRS, "--method", "cumulants", "--max-len", "9"),
     ("check", "--spec", SEC4, "--method", "liberation", "--pair", "1",
      "--max-len", "9"),
+    ("check", "--spec", TWO_PAIRS, "--method", "cumulants", "--max-len", "1"),
+    ("check", "--spec", TWO_PAIRS, "--method", "liberation", "--pair", "b",
+     "--max-len", "1"),
+    ("check", "--spec", TWO_PAIRS, "--method", "vaccine", "--max-len", "1",
+     "--seed", "1"),
+    ("check", "--spec", ONE_PAIR, "--method", "cumulants", "--max-len", "4"),
+    ("check", "--spec", ONE_PAIR, "--method", "liberation", "--pair", "a",
+     "--max-len", "4"),
+    ("check", "--spec", ONE_PAIR, "--method", "vaccine", "--max-len", "4",
+     "--seed", "1"),
+    ("check", "--spec", TWO_PAIRS, "--method", "taur", "--pair", "zzz",
+     "--max-len", "3"),
+    ("check", "--spec", TWO_PAIRS, "--method", "liberation", "--pair", "zzz",
+     "--max-len", "3"),
+    ("liberate", "--spec", TWO_PAIRS, "--word", "al", "--pair", "zzz"),
+    ("taur", "--spec", TWO_PAIRS, "--word", "al", "--pair", "zzz"),
 ], ids=["conditional-without-theta", "max-len-negative", "max-len-zero",
-        "trials-negative", "cumulants-max-len-9", "liberation-max-len-9"])
+        "trials-negative", "cumulants-max-len-9", "liberation-max-len-9",
+        "cumulants-max-len-1", "liberation-max-len-1", "vaccine-max-len-1",
+        "cumulants-one-pair", "liberation-one-pair", "vaccine-one-pair",
+        "taur-unknown-pair", "liberation-unknown-pair", "liberate-unknown-pair",
+        "taur-command-unknown-pair"])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -227,3 +254,67 @@ def test_missing_spec_exits_2(capsys):
     code, _, _ = run(capsys, "moment", "--spec", "/does/not/exist.json",
                      "--mode", "bifree", "--word", "al")
     assert code == 2
+
+
+def golden_argvs(spec):
+    """The CLI calls recorded for one fixture, without the --spec option.
+
+    Every check method at --max-len 2..4 (taur and liberation for each pair),
+    then moment in its three modes and taur and liberate for each pair, on
+    every word of up to 2 letters.
+    """
+    fam = load_family(os.path.join(DATA, spec + ".json"))
+    pairs = sorted(fam.pures)
+    symbols = sorted(fam.by_symbol)
+    argvs = []
+    for n in ("2", "3", "4"):
+        argvs.append(["check", "--method", "cumulants", "--max-len", n])
+        argvs.append(["check", "--method", "vaccine", "--max-len", n,
+                      "--trials", "20", "--seed", "3"])
+        for p in pairs:
+            argvs.append(["check", "--method", "taur", "--pair", p, "--max-len", n])
+            argvs.append(["check", "--method", "liberation", "--pair", p, "--max-len", n])
+    for n in (1, 2):
+        for word in itertools.product(symbols, repeat=n):
+            text = " ".join(word)
+            argvs.append(["moment", "--mode", "bifree", "--word", text])
+            argvs.append(["moment", "--mode", "vaccine", "--seed", "3", "--word", text])
+            argvs.append(["moment", "--mode", "conditional", "--word", text])
+            for p in pairs:
+                argvs.append(["taur", "--pair", p, "--word", text])
+                argvs.append(["liberate", "--pair", p, "--word", text])
+    return argvs
+
+
+def golden_call(spec, argv):
+    return [argv[0], "--spec", os.path.join(DATA, spec + ".json")] + argv[1:]
+
+
+def test_cli_matches_golden(capsys):
+    """Exit code and stdout of every golden call match tests/data/cli_golden.jsonl.
+
+    Each line of that file is [spec, argv, exit code, stdout].  Re-record it
+    with `PYTHONPATH=src python tests/test_cli.py` only when a change to the
+    CLI output is intended.
+    """
+    with open(GOLDEN, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert [r[:2] for r in records] == [
+        [spec, argv] for spec in GOLDEN_SPECS for argv in golden_argvs(spec)]
+    for spec, argv, code, out in records:
+        assert run(capsys, *golden_call(spec, argv))[:2] == (code, out), argv
+
+
+def _record_golden():
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        for spec in GOLDEN_SPECS:
+            for argv in golden_argvs(spec):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(golden_call(spec, argv))
+                record = [spec, argv, code, out.getvalue()]
+                fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+
+
+if __name__ == "__main__":
+    _record_golden()

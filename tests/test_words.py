@@ -12,6 +12,7 @@ from bifree import (
     shifted_product_expansion,
     subword,
     word_text,
+    words_up_to,
 )
 
 XL = Letter("x", "a", "l")
@@ -129,3 +130,54 @@ def test_shifted_product_expansion():
     # zero shift prunes the subsets dropping that letter
     s0 = shifted_product_expansion(w, {2: Fraction(3)})
     assert s0.terms == {(XL, YR): Fraction(1), (XL,): Fraction(-3)}
+
+
+def _subset_expansion(w, shifts):
+    """prod_i (z_i - c_i) as an explicit sum over the 2^n subsets of kept letters."""
+    n = len(w)
+    out = ScalarWordSum()
+    for mask in range(1 << n):
+        coeff = Fraction(1)
+        kept = []
+        for i in range(n):
+            if mask >> i & 1:
+                kept.append(w[i])
+            else:
+                c = Fraction(shifts.get(i + 1, 0))
+                if c == 0:
+                    coeff = 0
+                    break
+                coeff *= -c
+        if coeff != 0:
+            out.add(tuple(kept), coeff)
+    return out
+
+
+# few letters, so words repeat letters and some subsets share their kept word
+shift_values = st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((XL, YR, ZL)), max_size=7).map(tuple),
+       st.dictionaries(st.integers(1, 7), shift_values))
+def test_shifted_product_expansion_matches_subset_sum(w, shifts):
+    assert shifted_product_expansion(w, shifts) == _subset_expansion(w, shifts)
+
+
+def test_shifted_product_expansion_cancels_repeated_letters():
+    # (x - 1)(x + 1) = x x - 1: the two one-letter terms cancel and are dropped
+    s = shifted_product_expansion((XL, XL), {1: 1, 2: -1})
+    assert s.terms == {(XL, XL): Fraction(1), (): Fraction(-1)}
+
+
+def test_words_up_to_order():
+    assert list(words_up_to((XL, YR), 2)) == [
+        (XL,), (YR,), (XL, XL), (XL, YR), (YR, XL), (YR, YR)]
+    assert list(words_up_to((XL, YR), 2, mixed_only=True)) == [(XL, YR), (YR, XL)]
+    assert list(words_up_to((XL, ZL), 2, mixed_only=True)) == [(XL, ZL), (ZL, XL)]
+
+
+def test_letters_order_as_tuples():
+    assert Letter("a", "q", "r") < Letter("b", "p", "l")
+    assert Letter("a", "p", "r") > Letter("a", "p", "l")
+    assert hash(Letter("a", "p", "l")) == hash(("a", "p", "l"))
