@@ -50,6 +50,7 @@ from .errors import (
     ModeError,
     OrderError,
     SizeError,
+    SpecError,
 )
 from .liberation import (
     ExpPoly,

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, groupby
+from math import comb
 
 from .errors import OrderError, SizeError
 from .partitions import (
@@ -15,7 +17,6 @@ from .partitions import (
     SetPartition,
     _canonical,
     join as partition_join,
-    lattice_mobius,
     meet as partition_meet,
     refines,
 )
@@ -79,28 +80,7 @@ def is_bi_non_crossing(p: SetPartition, chi: str) -> bool:
     _check_chi(chi)
     if p.n != len(chi):
         raise SizeError(f"partition size {p.n} != chi length {len(chi)}")
-    ranks = _ranks(chi)
-    bmap = p.block_map()
-    labels = [None] * p.n
-    for elem, k in bmap.items():
-        labels[ranks[elem]] = k
-    remaining = {}
-    for k in labels:
-        remaining[k] = remaining.get(k, 0) + 1
-    stack = []
-    seen = set()
-    for k in labels:
-        if stack and stack[-1] == k:
-            pass
-        elif k in seen:
-            return False  # re-opened a block that is not on top: crossing
-        else:
-            stack.append(k)
-            seen.add(k)
-        remaining[k] -= 1
-        while stack and remaining[stack[-1]] == 0:
-            stack.pop()
-    return True
+    return _crossing_pair(chi, p.blocks) is None
 
 
 @dataclass(frozen=True)
@@ -186,6 +166,12 @@ def _blocks_cross(chi, a, b) -> bool:
     return switches >= 3
 
 
+def _crossing_pair(chi, blocks):
+    """The first two blocks that cross in chi-order, or None."""
+    return next(((a, b) for a, b in combinations(blocks, 2) if _blocks_cross(chi, a, b)),
+                None)
+
+
 def bnc_meet(p: BncPartition, q: BncPartition) -> BncPartition:
     if p.chi != q.chi:
         raise SizeError("chi maps differ")
@@ -200,23 +186,12 @@ def bnc_join(p: BncPartition, q: BncPartition) -> BncPartition:
     """
     if p.chi != q.chi:
         raise SizeError("chi maps differ")
-    chi = p.chi
-    current = partition_join(p.partition, q.partition)
-    while not is_bi_non_crossing(current, chi):
-        merged = None
-        blocks = current.blocks
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if _blocks_cross(chi, blocks[i], blocks[j]):
-                    merged = (i, j)
-                    break
-            if merged:
-                break
-        i, j = merged
-        new_blocks = [b for k, b in enumerate(blocks) if k not in (i, j)]
-        new_blocks.append(tuple(sorted(blocks[i] + blocks[j])))
-        current = SetPartition(current.n, _canonical(new_blocks))
-    return BncPartition(current, chi)
+    blocks = list(partition_join(p.partition, q.partition).blocks)
+    while (pair := _crossing_pair(p.chi, blocks)) is not None:
+        blocks.remove(pair[0])
+        blocks.remove(pair[1])
+        blocks.append(pair[0] + pair[1])
+    return BncPartition(SetPartition(p.n, _canonical(blocks)), p.chi)
 
 
 def maximal_mono_intervals(chi: str, eps: tuple):
@@ -227,17 +202,8 @@ def maximal_mono_intervals(chi: str, eps: tuple):
     _check_chi(chi)
     if len(eps) != len(chi):
         raise SizeError(f"eps length {len(eps)} != chi length {len(chi)}")
-    order = s_chi_permutation(chi)
-    runs = []
-    current = [order[0]]
-    for elem in order[1:]:
-        if eps[elem - 1] == eps[current[-1] - 1]:
-            current.append(elem)
-        else:
-            runs.append(tuple(sorted(current)))
-            current = [elem]
-    runs.append(tuple(sorted(current)))
-    return tuple(runs)
+    runs = groupby(s_chi_permutation(chi), key=lambda elem: eps[elem - 1])
+    return tuple(tuple(sorted(run)) for _, run in runs)
 
 
 def classify_blocks(p: BncPartition) -> dict:
@@ -263,29 +229,39 @@ def bnc_mobius(lower: BncPartition, upper: BncPartition) -> int:
     """Mobius value over the BNC(chi) interval [lower, upper]."""
     if lower.chi != upper.chi:
         raise SizeError("chi maps differ")
-    universe = [b.partition for b in enumerate_bnc(lower.chi)]
-    return lattice_mobius(lower.partition, upper.partition, universe)
+    for bp in (lower, upper):
+        BncPartition.of(bp.partition, bp.chi)  # a crossing argument raises ValueError
+    if not refines(lower.partition, upper.partition):
+        raise OrderError("lower does not refine upper")
+    return _mobius(lower.partition, upper.partition, lower.chi)
 
 
-@lru_cache(maxsize=None)
-def mobius_to_full(chi: str) -> dict:
-    """mu(pi, full) for every pi in BNC(chi), keyed by pi.blocks.
+def _mobius(lower: SetPartition, upper: SetPartition, chi: str) -> int:
+    """mu(lower, upper) in closed form; both bi-non-crossing, lower refining upper.
 
-    Uses the dual recursion mu(pi, 1) = -sum_{pi < rho <= 1} mu(rho, 1),
-    filled in from coarse to fine.
+    In chi-order the interval is one of NC(n), and [pi, sigma] in NC(n) is the
+    product over the blocks W of sigma of the NC(|V|) for the blocks V of the
+    Kreweras complement of pi restricted to W.  Those blocks are the cycles of
+    pi^-1 gamma on the ranks of W, where pi cycles each block in increasing
+    order and gamma is the cycle (1 2 ... |W|).  So mu is the product of
+    mu(0, 1) in NC(|V|), which is (-1)^(|V|-1) C_(|V|-1) (Nica-Speicher,
+    Lectures on the Combinatorics of Free Probability, Lectures 9-11).
     """
-    parts = [b.partition for b in enumerate_bnc(chi)]
-    parts.sort(key=len)  # coarse first
-    full = SetPartition.full(len(chi))
-    mu = {full.blocks: 1}
-    for p in parts:
-        if p.blocks in mu:
-            continue
-        total = 0
-        for q in parts:
-            if len(q) >= len(p):
-                continue
-            if refines(p, q):
-                total += mu[q.blocks]
-        mu[p.blocks] = -total
+    ranks = _ranks(chi)
+    lower_map = lower.block_map()
+    mu = 1
+    for w in upper.blocks:
+        pos = {x: k for k, x in enumerate(sorted(w, key=ranks.__getitem__))}
+        prev = [0] * len(w)  # pi^-1 on the positions of w
+        for b in {lower.blocks[lower_map[x]] for x in w}:
+            ks = sorted(pos[x] for x in b)
+            for k, after in zip(ks[-1:] + ks, ks):
+                prev[after] = k
+        unseen = set(range(len(w)))
+        while unseen:
+            k, size = unseen.pop(), 1
+            while (k := prev[(k + 1) % len(w)]) in unseen:
+                unseen.remove(k)
+                size += 1
+            mu *= (-1) ** (size - 1) * (comb(2 * size - 2, size - 1) // size)
     return mu

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bnc import BncPartition, enumerate_bnc, mobius_to_full, s_chi_permutation
+from .bnc import BncPartition, _mobius, enumerate_bnc, s_chi_permutation
 from .errors import InsufficientDataError, ModeError, SizeError
+from .partitions import SetPartition
 from .words import chi_of, subword
 
 
@@ -136,10 +137,10 @@ def kappa_via_mobius(d, w) -> Fraction:
     if len(w) == 0:
         raise ValueError("cumulants are defined for words of length >= 1")
     chi = chi_of(w)
-    mu = mobius_to_full(chi)
+    full = SetPartition.full(len(w))
     # mu(pi, full) is never 0 on a non-crossing lattice, so phi_pi reads what is needed
-    return sum((mu[bp.partition.blocks] * phi_pi(d, bp, w) for bp in enumerate_bnc(chi)),
-               Fraction(0))
+    return sum((_mobius(bp.partition, full, chi) * phi_pi(d, bp, w)
+                for bp in enumerate_bnc(chi)), Fraction(0))
 
 
 def moments_from_cumulants(kc, w) -> Fraction:

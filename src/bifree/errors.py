@@ -31,3 +31,7 @@ class DomainError(BiFreeError, ValueError):
 
 class ModeError(BiFreeError, ValueError):
     """Operation requires a distribution layer or mode that is absent."""
+
+
+class SpecError(BiFreeError, ValueError):
+    """A specification file does not have the documented shape."""

@@ -67,10 +67,12 @@ def taur_test(d, iota, max_len, widen=False) -> TaurVerdict:
     By default one generator per face per pair is used (multilinearity makes
     that sufficient for fixed tables); `widen` switches to every declared
     generator.  With more than two pairs in scope the verdict is reported as
-    uncertified.
+    uncertified.  An iota that names no pair of d raises DomainError.
     """
-    if max_len > 8:
-        raise ValueError(f"max_len must be <= 8, got {max_len}")
+    if not 1 <= max_len <= 8:
+        raise ValueError(f"max_len must be in 1..8, got {max_len}")
+    if iota not in d.pairs:
+        raise DomainError(f"pair {iota!r} is not a pair of the distribution")
     if widen:
         alphabet = sorted(d.letters, key=lambda l: l.symbol)
     else:

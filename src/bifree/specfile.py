@@ -8,6 +8,8 @@ optional "theta_moments" layer.  Symbols must be globally unique.
 An optional top-level "perturbations" mapping (same word syntax) adds rational
 deltas to mixed moments of the bi-free product; it is how a spec file
 expresses the table-with-perturbation mode.
+
+A file of any other shape raises SpecError.
 """
 from __future__ import annotations
 
@@ -20,24 +22,30 @@ from .distributions import (
     MomentTablePure,
     PerturbedJoint,
 )
+from .errors import SpecError
 
 
 def parse_rational(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ValueError(f"not a rational: {v!r}")
-    if isinstance(v, int):
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise SpecError(f"rationals must be integers or 'p/q' strings, got {v!r}")
+    try:
         return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise ValueError(f"rationals must be integers or 'p/q' strings, got {v!r}")
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"not a rational: {v!r}") from None
 
 
-def _parse_table(mapping):
-    out = {}
-    for text, v in mapping.items():
-        key = tuple(text.split())
-        out[key] = parse_rational(v)
-    return out
+def _parse_table(mapping, what):
+    if not isinstance(mapping, dict):
+        raise SpecError(f"{what} must be an object, got {type(mapping).__name__}")
+    return {tuple(text.split()): parse_rational(v) for text, v in mapping.items()}
+
+
+def _symbols(spec, key):
+    symbols = spec.get(key, [])
+    if not isinstance(symbols, list) or any(
+            not isinstance(s, str) or s.split() != [s] for s in symbols):
+        raise SpecError(f"{key} must be a list of symbols without spaces, got {symbols!r}")
+    return tuple(symbols)
 
 
 class Family:
@@ -50,7 +58,7 @@ class Family:
         for pure in self.pures.values():
             for letter in pure.letters:
                 if letter.symbol in self.by_symbol:
-                    raise ValueError(f"duplicate symbol {letter.symbol!r}")
+                    raise SpecError(f"duplicate symbol {letter.symbol!r}")
                 self.by_symbol[letter.symbol] = letter
 
     def word(self, text: str):
@@ -80,28 +88,37 @@ def load_family(source) -> Family:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
 
+    if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
+        raise SpecError('a spec must be an object whose "pairs" is a list')
     pures = {}
     for spec in data["pairs"]:
-        pair = spec["id"]
+        if not isinstance(spec, dict):
+            raise SpecError(f"a pair must be an object, got {type(spec).__name__}")
+        pair = spec.get("id")
+        if not isinstance(pair, str):
+            raise SpecError(f"a pair id must be a string, got {pair!r}")
         if pair in pures:
-            raise ValueError(f"duplicate pair id {pair!r}")
-        left = tuple(spec.get("left_generators", ()))
-        right = tuple(spec.get("right_generators", ()))
+            raise SpecError(f"duplicate pair id {pair!r}")
+        left = _symbols(spec, "left_generators")
+        right = _symbols(spec, "right_generators")
         max_degree = spec.get("max_degree")
-        theta = _parse_table(spec["theta_moments"]) if "theta_moments" in spec else None
+        if max_degree is not None and (type(max_degree) is not int or max_degree < 0):
+            raise SpecError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
+        theta = (_parse_table(spec["theta_moments"], "theta_moments")
+                 if "theta_moments" in spec else None)
         has_m, has_c = "moments" in spec, "cumulants" in spec
         if has_m == has_c:
-            raise ValueError(f"pair {pair!r} needs exactly one of moments/cumulants")
+            raise SpecError(f"pair {pair!r} needs exactly one of moments/cumulants")
         if has_m:
             pures[pair] = MomentTablePure(
-                pair, left, right, max_degree, _parse_table(spec["moments"]),
+                pair, left, right, max_degree, _parse_table(spec["moments"], "moments"),
                 theta_table=theta)
         else:
             pures[pair] = CumulantTablePure(
-                pair, left, right, max_degree, _parse_table(spec["cumulants"]),
+                pair, left, right, max_degree, _parse_table(spec["cumulants"], "cumulants"),
                 theta_table=theta)
 
-    perturbations = _parse_table(data.get("perturbations", {}))
+    perturbations = _parse_table(data.get("perturbations", {}), "perturbations")
     fam = Family(pures, perturbations)
     # validate perturbation symbols eagerly
     for key in perturbations:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bnc import maximal_mono_intervals
 from .distributions import evaluate
-from .errors import DegenerateCentringError
+from .errors import DegenerateCentringError, DomainError
 from .words import (
     chi_of,
     eps_of,
@@ -109,13 +109,13 @@ def vaccine_test(d, max_len, trials, seed) -> VaccineVerdict:
     Samples words with non-constant pair-coloring over the declared
     generators, centres every maximal monochromatic chi-interval, and
     evaluates the shifted product.  Degenerate centrings are skipped and
-    counted.
+    counted; a search in which no trial completes raises DomainError.
     """
     if not 1 <= max_len <= 8:
         raise ValueError(f"max_len must be in 1..8, got {max_len}")
     letters = sorted(d.letters, key=lambda l: l.symbol)
     if len({l.pair for l in letters}) < 2 or max_len < 2:
-        return VaccineVerdict(holds=True, trials=0, skipped=0)
+        raise DomainError("vacuous scan: mixed words need two pairs and max_len of at least 2")
     skipped = 0
     done = 0
     for trial in range(trials):
@@ -134,6 +134,8 @@ def vaccine_test(d, max_len, trials, seed) -> VaccineVerdict:
         if value != 0:
             return VaccineVerdict(holds=False, trials=done, skipped=skipped,
                                   word=word, shifts=shifts, value=value)
+    if done == 0:
+        raise DomainError(f"vacuous scan: no centred trial completed ({skipped} skipped)")
     return VaccineVerdict(holds=True, trials=done, skipped=skipped)
 
 

@@ -18,11 +18,12 @@ from bifree import (
     enumerate_set_partitions,
     is_bi_non_crossing,
     join,
+    lattice_mobius,
     maximal_mono_intervals,
     refines,
     s_chi_permutation,
 )
-from bifree.bnc import _ranks, mobius_to_full
+from bifree.bnc import _ranks
 
 # worked eight-point example: lefts {2,3,4,7}, rights {1,5,6,8},
 # color 0 on {1,2,4,7,8} and color 1 on {3,5,6}
@@ -215,6 +216,19 @@ def test_bnc_mobius():
     d2 = BncPartition(SetPartition.discrete(2), "lr")
     f2 = BncPartition(SetPartition.full(2), "lr")
     assert bnc_mobius(d2, f2) == -1
+    for n, expected in ((8, -429), (12, -58786), (13, 208012)):
+        chi = ("lr" * n)[:n]
+        d = BncPartition(SetPartition.discrete(n), chi)
+        f = BncPartition(SetPartition.full(n), chi)
+        assert bnc_mobius(d, f) == expected
+    crossing = BncPartition(SetPartition.of(4, [(1, 3), (2, 4)]), "llll")
+    full = BncPartition(SetPartition.full(4), "llll")
+    with pytest.raises(ValueError):
+        bnc_mobius(crossing, full)
+    with pytest.raises(OrderError):
+        bnc_mobius(full, BncPartition(SetPartition.discrete(4), "llll"))
+    with pytest.raises(SizeError):
+        bnc_mobius(full, BncPartition(SetPartition.full(4), "lrlr"))
 
 
 def test_bnc_mobius_inversion_identity():
@@ -231,9 +245,26 @@ def test_bnc_mobius_inversion_identity():
             assert total == (1 if pi.partition == sigma.partition else 0)
 
 
-def test_mobius_to_full_matches_bnc_mobius():
-    for chi in ("lrlr", "rrll", "lllll"):
-        mu = mobius_to_full(chi)
-        f = BncPartition(SetPartition.full(len(chi)), chi)
-        for bp in enumerate_bnc(chi):
-            assert mu[bp.partition.blocks] == bnc_mobius(bp, f)
+def test_bnc_mobius_matches_lattice_mobius():
+    rng = random.Random(29)
+    chis = ["".join(c) for n in (1, 2, 3, 4) for c in itertools.product("lr", repeat=n)]
+    for chi in chis + random_chis(rng, 5, 4):
+        bncs = enumerate_bnc(chi)
+        universe = [bp.partition for bp in bncs]
+        for lower in bncs:
+            for upper in bncs:
+                if refines(lower.partition, upper.partition):
+                    assert bnc_mobius(lower, upper) == lattice_mobius(
+                        lower.partition, upper.partition, universe)
+
+
+def test_mobius_to_full_sums_to_delta():
+    # sum over rho >= pi of mu(rho, 1) is 1 at pi = 1 and 0 below it
+    rng = random.Random(31)
+    for chi in random_chis(rng, 6, 3):
+        bncs = enumerate_bnc(chi)
+        full = BncPartition(SetPartition.full(6), chi)
+        for pi in bncs:
+            total = sum(bnc_mobius(rho, full) for rho in bncs
+                        if refines(pi.partition, rho.partition))
+            assert total == (1 if pi.partition == full.partition else 0)

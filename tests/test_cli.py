@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bifree import load_family
+from bifree import SpecError, load_family
 from bifree.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -69,6 +69,17 @@ def test_bnc_mobius(capsys):
                        "--lower", "1|2|3|4", "--upper", "1 2 3 4")
     assert code == 0
     assert out.strip() == "-5"
+    # closed form: no enumeration of BNC(chi), so no cap at 12 positions
+    for n, expected in ((8, "-429"), (13, "208012")):
+        chi = ("rl" * n)[:n]
+        code, out, _ = run(capsys, "bnc", "mobius", "--chi", chi,
+                           "--lower", "|".join(str(i) for i in range(1, n + 1)),
+                           "--upper", " ".join(str(i) for i in range(1, n + 1)))
+        assert (code, out) == (0, expected + "\n")
+    code, out, err = run(capsys, "bnc", "mobius", "--chi", "llll",
+                         "--lower", "1 3|2 4", "--upper", "1 2 3 4")
+    assert (code, out) == (2, "")
+    assert "crossing" in err
 
 
 def test_bnc_bad_chi_exits_2(capsys):
@@ -210,6 +221,47 @@ def test_check_liberation(capsys):
         "taur-command-unknown-pair"])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _malformed(edit):
+    with open(TWO_PAIRS, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return edit(spec)
+
+
+def _set_first_pair(key, value):
+    def edit(spec):
+        spec["pairs"][0][key] = value
+        return spec
+    return edit
+
+
+def _zero_denominator(spec):
+    table = spec["pairs"][0]["cumulants"]
+    table[next(iter(table))] = "1/0"
+    return spec
+
+
+@pytest.mark.parametrize("edit", [
+    lambda spec: {"pairs": 5},
+    lambda spec: [spec],
+    _set_first_pair("id", ["a"]),
+    _set_first_pair("max_degree", "2"),
+    _set_first_pair("left_generators", "xy"),
+    _set_first_pair("cumulants", ["al", 1]),
+    _zero_denominator,
+    lambda spec: dict(spec, perturbations=[]),
+], ids=["pairs-not-a-list", "top-level-list", "list-id", "string-max-degree",
+        "string-generators", "list-table", "zero-denominator", "list-perturbations"])
+def test_malformed_spec_is_a_typed_error(capsys, tmp_path, edit):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_malformed(edit)), encoding="utf-8")
+    with pytest.raises(SpecError):
+        load_family(str(path))
+    code, out, err = run(capsys, "moment", "--spec", str(path), "--word", "al")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err

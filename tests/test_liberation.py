@@ -118,6 +118,11 @@ def test_taur_test_verdicts():
     bad = taur_test(d, "b", max_len=3)
     assert not bad.holds
     assert bad.render().startswith("COUNTEREXAMPLE word=")
+    # a pair the distribution does not have would check every word vacuously
+    with pytest.raises(DomainError):
+        taur_test(base, "zzz", max_len=3)
+    with pytest.raises(ValueError):
+        taur_test(base, "b", max_len=0)
 
 
 def test_taur_test_uncertified_beyond_two_pairs():

@@ -6,6 +6,7 @@ import pytest
 from bifree import (
     BifreeProduct,
     DegenerateCentringError,
+    DomainError,
     Letter,
     PerturbedJoint,
     centred_shifts,
@@ -15,6 +16,7 @@ from bifree import (
     vaccine_reconstruct_moment,
     vaccine_test,
 )
+from bifree import vaccine as vaccine_module
 from bifree.vaccine import VaccineVerdict, _centre_interval
 from bifree.words import chi_of, eps_of, subword
 
@@ -84,11 +86,22 @@ def test_vaccine_holds_on_bifree_product():
     assert verdict.render() == f"HOLDS trials={verdict.trials} skipped={verdict.skipped}"
 
 
-def test_vaccine_single_pair_vacuous():
+def test_vaccine_single_pair_vacuous(monkeypatch):
+    # a search that completes no trial proves nothing: an error, not HOLDS
     rng = random.Random(4)
     d = BifreeProduct(random_family(rng, pairs=("a",), max_degree=4))
-    verdict = vaccine_test(d, max_len=4, trials=10, seed=1)
-    assert verdict.holds and verdict.trials == 0
+    with pytest.raises(DomainError):
+        vaccine_test(d, max_len=4, trials=10, seed=1)
+    two = BifreeProduct(random_family(rng, max_degree=4))
+    with pytest.raises(DomainError):
+        vaccine_test(two, max_len=1, trials=10, seed=1)
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateCentringError("every pivot degenerate")
+
+    monkeypatch.setattr(vaccine_module, "centred_shifts", degenerate)
+    with pytest.raises(DomainError, match="10 skipped"):
+        vaccine_test(two, max_len=4, trials=10, seed=1)
 
 
 def test_vaccine_detects_perturbation():
