@@ -23,6 +23,7 @@ from .cumulants import (
     bifree_product_moment,
     conditional_kappa,
     conditional_product_theta,
+    cumulant_test,
     kappa,
     kappa_via_mobius,
     moments_from_cumulants,
@@ -58,7 +59,7 @@ from .liberation import (
     TensorSum,
     eval_tensor,
     free_delta,
-    liberation_derivative_check,
+    liberation_test,
     replacement_expand,
     taur,
     taur_test,

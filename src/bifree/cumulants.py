@@ -16,7 +16,7 @@ from fractions import Fraction
 from .bnc import BncPartition, _mobius, enumerate_bnc, s_chi_permutation
 from .errors import InsufficientDataError, ModeError, SizeError
 from .partitions import SetPartition
-from .words import chi_of, subword
+from .words import ScanVerdict, chi_of, scan, subword
 
 
 # A sum over a set of partitions is carried as (value, flag).  flag is False
@@ -130,6 +130,14 @@ def kappa_from_phi(phi, w, memo=None) -> Fraction:
 def kappa(d, w) -> Fraction:
     """Bi-free cumulant of w under the joint distribution d (memoized on d)."""
     return kappa_from_phi(d.phi, w, d._kappa_memo)
+
+
+def cumulant_test(d, max_len) -> ScanVerdict:
+    """Scan every mixed word up to max_len for a nonzero bi-free cumulant under d."""
+    def failure(w):
+        value = kappa(d, w)
+        return {"value": value} if value else None
+    return scan(d.letters, max_len, failure)
 
 
 def kappa_via_mobius(d, w) -> Fraction:

@@ -38,6 +38,13 @@ class PureDistribution:
         if self.max_degree is not None and len(w) > self.max_degree:
             raise InsufficientDataError(word_text(w))
 
+    def _lookup(self, table, w):
+        """The entry of a symbol-keyed table for w; a missing one is an error."""
+        key = tuple(letter.symbol for letter in w)
+        if key in table and (self.max_degree is None or len(w) <= self.max_degree):
+            return table[key]
+        raise InsufficientDataError(word_text(w))
+
     # subclasses provide one of _raw_moment / _raw_cumulant
     def moment(self, w) -> Fraction:
         if len(w) == 0:
@@ -67,12 +74,7 @@ class PureDistribution:
             raise ModeError(f"pair {self.pair!r} has no theta layer")
         if len(w) == 0:
             return Fraction(1)
-        self._check_degree(w)
-        key = tuple(letter.symbol for letter in w)
-        try:
-            return self.theta_table[key]
-        except KeyError:
-            raise InsufficientDataError(word_text(w)) from None
+        return self._lookup(self.theta_table, w)
 
     def conditional_cumulant(self, w) -> Fraction:
         return cumulants.conditional_kappa_from(
@@ -88,12 +90,7 @@ class MomentTablePure(PureDistribution):
         self.table = {tuple(k): Fraction(v) for k, v in moments.items()}
 
     def _raw_moment(self, w):
-        self._check_degree(w)
-        key = tuple(letter.symbol for letter in w)
-        try:
-            return self.table[key]
-        except KeyError:
-            raise InsufficientDataError(word_text(w)) from None
+        return self._lookup(self.table, w)
 
 
 class CumulantTablePure(PureDistribution):
@@ -175,13 +172,6 @@ class JointDistribution:
         raise NotImplementedError
 
     theta = None  # overridden where a theta layer exists
-
-    def one_per_face(self):
-        """The first generator (by symbol) of each (pair, side), faces in sorted order."""
-        faces = {}
-        for letter in sorted(self.letters, key=lambda l: l.symbol):
-            faces.setdefault((letter.pair, letter.side), letter)
-        return [faces[k] for k in sorted(faces)]
 
     @property
     def pairs(self):

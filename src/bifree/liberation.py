@@ -8,13 +8,12 @@ letters by same-side unitaries and expands to first order in t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bnc import chi_interval, chi_precedes
 from .distributions import BifreeProduct, builtin_semicircular_pair
-from .errors import DomainError
-from .words import TensorSum, chi_of, subword, word_text, words_up_to
+from .errors import DomainError, ModeError
+from .words import ScanVerdict, TensorSum, chi_of, scan, subword
 
 
 def taur(w, iota) -> TensorSum:
@@ -46,46 +45,23 @@ def eval_tensor(d, t: TensorSum) -> Fraction:
     return t.evaluate(lambda key: d.phi(key[0]) * d.phi(key[1]))
 
 
-@dataclass
-class TaurVerdict:
-    holds: bool
-    checked: int = 0
-    certified: bool = True
-    word: tuple = ()
-    value: Fraction = Fraction(0)
-
-    def render(self) -> str:
-        suffix = "" if self.certified else " uncertified"
-        if self.holds:
-            return f"HOLDS checked={self.checked}{suffix}"
-        return f"COUNTEREXAMPLE word={word_text(self.word)} value={self.value}{suffix}"
-
-
-def taur_test(d, iota, max_len, widen=False) -> TaurVerdict:
-    """Exhaustively evaluate the tensor map on all words up to max_len.
-
-    By default one generator per face per pair is used (multilinearity makes
-    that sufficient for fixed tables); `widen` switches to every declared
-    generator.  With more than two pairs in scope the verdict is reported as
-    uncertified.  An iota that names no pair of d raises DomainError.
-    """
-    if not 1 <= max_len <= 8:
-        raise ValueError(f"max_len must be in 1..8, got {max_len}")
+def _require_pair(d, iota):
     if iota not in d.pairs:
         raise DomainError(f"pair {iota!r} is not a pair of the distribution")
-    if widen:
-        alphabet = sorted(d.letters, key=lambda l: l.symbol)
-    else:
-        alphabet = d.one_per_face()
-    certified = len(d.pairs) <= 2
-    checked = 0
-    for w in words_up_to(alphabet, max_len):
+
+
+def taur_test(d, iota, max_len) -> ScanVerdict:
+    """Scan every word up to max_len for a nonzero value of the tensor map.
+
+    With more than two pairs in scope the verdict is reported as uncertified.
+    An iota that names no pair of d raises DomainError.
+    """
+    _require_pair(d, iota)
+    def failure(w):
         value = eval_tensor(d, taur(w, iota))
-        checked += 1
-        if value != 0:
-            return TaurVerdict(holds=False, checked=checked,
-                               certified=certified, word=w, value=value)
-    return TaurVerdict(holds=True, checked=checked, certified=certified)
+        return {"value": value} if value else None
+    return scan(d.letters, max_len, failure, mixed_only=False,
+                certified=len(d.pairs) <= 2)
 
 
 def free_delta(w, iota) -> TensorSum:
@@ -243,7 +219,6 @@ class ReplacementContext:
         family = dict(pures)
         family[self.sem.pair] = self.sem
         self.extended = BifreeProduct(family)
-        self.base = BifreeProduct(dict(pures))
         self.s_letter = {letter.side: letter for letter in self.sem.letters}
 
 
@@ -300,15 +275,20 @@ def ubm_power_expansion(m: int):
     return _expand_tokens(ReplacementContext({}), [("u", "l", 1)] * m)
 
 
-def liberation_derivative_check(pures, w, iota, ctx=None, joint=None) -> bool:
-    """Exact agreement of the expansion with the tensor-map derivative formula.
+def liberation_test(d, iota, max_len) -> ScanVerdict:
+    """Scan every mixed word up to max_len for a failure of the derivative formula.
 
-    The expansion is compared with `joint` (default: the bi-free product
-    of `pures`, ctx.base).
+    The order-t replacement expansion over the pures of d is compared with d
+    itself, perturbations included: c0 with phi, c1 with the tensor map.  A d
+    that is not built on pure distributions raises ModeError.
     """
-    if ctx is None:
-        ctx = ReplacementContext(pures)
-    if joint is None:
-        joint = ctx.base
-    c0, c1 = replacement_expand(pures, w, iota, ctx)
-    return c0 == joint.phi(w) and c1 == eval_tensor(joint, taur(w, iota))
+    _require_pair(d, iota)
+    if not getattr(d, "pures", None):
+        raise ModeError("liberation_test needs a joint built on pure distributions")
+    ctx = ReplacementContext(d.pures)
+    def failure(w):
+        c0, c1 = replacement_expand(ctx.pures, w, iota, ctx)
+        if c0 != d.phi(w) or c1 != eval_tensor(d, taur(w, iota)):
+            return {"c0": c0, "c1": c1}
+        return None
+    return scan(d.letters, max_len, failure)

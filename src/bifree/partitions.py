@@ -104,27 +104,16 @@ def join(p: SetPartition, q: SetPartition) -> SetPartition:
     """Finest common coarsening: transitive closure of the union of block relations."""
     if p.n != q.n:
         raise SizeError(f"partition sizes differ: {p.n} != {q.n}")
-    parent = list(range(p.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for part in (p, q):
-        for b in part.blocks:
-            for x in b[1:]:
-                union(b[0], x)
-    blocks = {}
-    for x in range(1, p.n + 1):
-        blocks.setdefault(find(x), []).append(x)
-    return SetPartition(p.n, _canonical(blocks.values()))
+    groups = []  # disjoint; each block merges with every group it meets
+    for b in p.blocks + q.blocks:
+        merged, rest = set(b), []
+        for g in groups:
+            if g & merged:
+                merged |= g
+            else:
+                rest.append(g)
+        groups = rest + [merged]
+    return SetPartition(p.n, _canonical(groups))
 
 
 def lattice_mobius(lower: SetPartition, upper: SetPartition, universe) -> int:

@@ -2,8 +2,9 @@
 
 Top level: "pairs" (list).  Each pair: id, left_generators, right_generators,
 max_degree, and exactly one of "moments" / "cumulants" (mapping from
-space-separated symbol words to rationals written "p/q" or integers), plus an
-optional "theta_moments" layer.  Symbols must be globally unique.
+nonempty space-separated words over the pair's own generators to rationals
+written as integers or "p/q" strings), plus an optional "theta_moments" layer.
+Symbols must be globally unique.
 
 An optional top-level "perturbations" mapping (same word syntax) adds rational
 deltas to mixed moments of the bi-free product; it is how a spec file
@@ -14,6 +15,7 @@ A file of any other shape raises SpecError.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .distributions import (
@@ -25,19 +27,32 @@ from .distributions import (
 from .errors import SpecError
 
 
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
+
+
 def parse_rational(v) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    m = _RATIONAL.fullmatch(v) if isinstance(v, str) else None
+    if m is None:
         raise SpecError(f"rationals must be integers or 'p/q' strings, got {v!r}")
     try:
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(int(m[1]), int(m[2] or 1))
+    except ZeroDivisionError:
         raise SpecError(f"not a rational: {v!r}") from None
 
 
-def _parse_table(mapping, what):
+def _parse_table(mapping, what, symbols):
+    """A table whose keys are nonempty words over `symbols`."""
     if not isinstance(mapping, dict):
         raise SpecError(f"{what} must be an object, got {type(mapping).__name__}")
-    return {tuple(text.split()): parse_rational(v) for text, v in mapping.items()}
+    table = {}
+    for text, v in mapping.items():
+        key = tuple(text.split())
+        if not key or not symbols.issuperset(key):
+            raise SpecError(f"{what} key {text!r} is not a word over {sorted(symbols)}")
+        table[key] = parse_rational(v)
+    return table
 
 
 def _symbols(spec, key):
@@ -104,23 +119,18 @@ def load_family(source) -> Family:
         max_degree = spec.get("max_degree")
         if max_degree is not None and (type(max_degree) is not int or max_degree < 0):
             raise SpecError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
-        theta = (_parse_table(spec["theta_moments"], "theta_moments")
-                 if "theta_moments" in spec else None)
+        def table(name):
+            return _parse_table(spec[name], f"pair {pair!r} {name}", set(left + right))
+        theta = table("theta_moments") if "theta_moments" in spec else None
         has_m, has_c = "moments" in spec, "cumulants" in spec
         if has_m == has_c:
             raise SpecError(f"pair {pair!r} needs exactly one of moments/cumulants")
         if has_m:
             pures[pair] = MomentTablePure(
-                pair, left, right, max_degree, _parse_table(spec["moments"], "moments"),
-                theta_table=theta)
+                pair, left, right, max_degree, table("moments"), theta_table=theta)
         else:
             pures[pair] = CumulantTablePure(
-                pair, left, right, max_degree, _parse_table(spec["cumulants"], "cumulants"),
-                theta_table=theta)
+                pair, left, right, max_degree, table("cumulants"), theta_table=theta)
 
-    perturbations = _parse_table(data.get("perturbations", {}), "perturbations")
-    fam = Family(pures, perturbations)
-    # validate perturbation symbols eagerly
-    for key in perturbations:
-        fam.word(" ".join(key))
-    return fam
+    symbols = {letter.symbol for pure in pures.values() for letter in pure.letters}
+    return Family(pures, _parse_table(data.get("perturbations", {}), "perturbations", symbols))

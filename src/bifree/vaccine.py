@@ -16,6 +16,7 @@ from .bnc import maximal_mono_intervals
 from .distributions import evaluate
 from .errors import DegenerateCentringError, DomainError
 from .words import (
+    check_scan,
     chi_of,
     eps_of,
     shifted_product_expansion,
@@ -99,10 +100,6 @@ class VaccineVerdict:
                 f"shifts={shift_text} value={self.value}")
 
 
-def _sample_word(letters, n, rng):
-    return tuple(rng.choice(letters) for _ in range(n))
-
-
 def vaccine_test(d, max_len, trials, seed) -> VaccineVerdict:
     """Randomized search for a centred word with nonzero moment.
 
@@ -110,20 +107,18 @@ def vaccine_test(d, max_len, trials, seed) -> VaccineVerdict:
     generators, centres every maximal monochromatic chi-interval, and
     evaluates the shifted product.  Degenerate centrings are skipped and
     counted; a search in which no trial completes raises DomainError.
+    max_len is refused as in every exhaustive scan (`words.check_scan`).
     """
-    if not 1 <= max_len <= 8:
-        raise ValueError(f"max_len must be in 1..8, got {max_len}")
     letters = sorted(d.letters, key=lambda l: l.symbol)
-    if len({l.pair for l in letters}) < 2 or max_len < 2:
-        raise DomainError("vacuous scan: mixed words need two pairs and max_len of at least 2")
+    check_scan(letters, max_len)
     skipped = 0
     done = 0
     for trial in range(trials):
         rng = random.Random(f"vaccine:{seed}:{trial}")
         n = rng.randint(2, max_len)
-        word = _sample_word(letters, n, rng)
-        while len(set(eps_of(word))) < 2:
-            word = _sample_word(letters, n, rng)
+        word = ()
+        while len(set(eps_of(word))) < 2:  # redraw until mixed
+            word = tuple(rng.choice(letters) for _ in range(n))
         try:
             shifts = centred_shifts(d, word, seed=f"{seed}:{trial}")
         except DegenerateCentringError:

@@ -4,11 +4,16 @@ A letter is a generator symbol tagged with its pair-id and side; a word is a
 tuple of letters (the empty tuple is the unit).  Opposite-side letters of
 different pairs commute; `canonical_word` picks the lexicographically least
 representative of that commutation class, which is what moment tables key on.
+`scan` is the one exhaustive loop of the property checks over those words.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+
+from .errors import DomainError, SizeError
 
 
 class Letter(namedtuple("Letter", "symbol pair side")):
@@ -72,12 +77,56 @@ def words_up_to(letters, max_len, mixed_only=False):
 
     mixed_only keeps only the words with letters from more than one pair.
     """
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (a,) for w in words for a in letters]
-        for w in words:
+    for n in range(1, max_len + 1):
+        for w in product(letters, repeat=n):
             if not mixed_only or len(set(eps_of(w))) > 1:
                 yield w
+
+
+def check_scan(letters, max_len, mixed_only=True):
+    """Refuse max_len outside 1..8 (SizeError) and a scan with no word to check."""
+    if not 1 <= max_len <= 8:
+        raise SizeError(f"max_len must be in 1..8, got {max_len}")
+    mixed_words = max_len >= 2 and len({l.pair for l in letters}) >= 2
+    if not letters or mixed_only and not mixed_words:
+        raise DomainError("vacuous scan: no word to check (mixed words need "
+                          "two pairs and max_len of at least 2)")
+
+
+@dataclass
+class ScanVerdict:
+    """How many words a scan checked and, if one failed, that word and its values."""
+    checked: int
+    word: tuple = None
+    values: dict = None
+    certified: bool = True
+
+    @property
+    def holds(self) -> bool:
+        return self.word is None
+
+    def render(self) -> str:
+        suffix = "" if self.certified else " uncertified"
+        if self.holds:
+            return f"HOLDS checked={self.checked}{suffix}"
+        values = "".join(f" {name}={v}" for name, v in self.values.items())
+        return f"COUNTEREXAMPLE word={word_text(self.word)}{values}{suffix}"
+
+
+def scan(letters, max_len, failure, mixed_only=True, certified=True) -> ScanVerdict:
+    """Check the words up to max_len over every letter, ordered by (pair, side, symbol).
+
+    failure(w) returns the values that show w fails, or None; the scan stops there.
+    """
+    letters = sorted(letters, key=lambda l: (l.pair, l.side, l.symbol))
+    check_scan(letters, max_len, mixed_only)
+    checked = 0
+    for w in words_up_to(letters, max_len, mixed_only):
+        checked += 1
+        values = failure(w)
+        if values:
+            return ScanVerdict(checked, w, values, certified)
+    return ScanVerdict(checked, certified=certified)
 
 
 class LinearSum:

@@ -2,7 +2,12 @@
 import itertools
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from bifree import MomentTablePure, TableJoint, words_up_to
+
+# positions at which to try swapping neighbours, for apply_swaps
+SWAPS = st.lists(st.integers(0, 5), max_size=20)
 
 
 def rand_fraction(rng, lo=-4, hi=4, dmax=3):
@@ -42,3 +47,16 @@ def random_table_joint(letters, rng, max_len=6):
     for w in words_up_to(letters, max_len):
         table.setdefault(w, rand_fraction(rng))
     return TableJoint(letters, table)
+
+
+def commutes(a, b):
+    """Opposite-side letters of different pairs commute."""
+    return a.pair != b.pair and a.side != b.side
+
+
+def apply_swaps(w, swaps):
+    """w with the neighbours at each position in swaps exchanged where they commute."""
+    for i in swaps:
+        if i + 1 < len(w) and commutes(w[i], w[i + 1]):
+            w = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+    return w

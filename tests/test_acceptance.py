@@ -8,10 +8,13 @@ import os
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from bifree import (
     BifreeProduct,
     Letter,
     MomentTablePure,
+    PerturbedJoint,
     SetPartition,
     bifree_product_moment,
     builtin_semicircular_pair,
@@ -22,6 +25,9 @@ from bifree import (
     kappa,
     kappa_via_mobius,
     classify_blocks,
+    cumulant_test,
+    evaluate,
+    liberation_test,
     load_family,
     maximal_mono_intervals,
     moments_from_cumulants,
@@ -140,8 +146,7 @@ def test_criterion_6_three_way_equivalence():
         extra = ("a",) if seed >= 3 else ()
         pures = random_family(rng, max_degree=6, extra_left=extra)
         d = BifreeProduct(pures)
-        for w in words_up_to(d.one_per_face(), 5, mixed_only=True):
-            assert kappa(d, w) == 0
+        assert cumulant_test(d, 5).holds
         verdict = vaccine_test(d, 5, 100, seed=600 + seed)
         assert verdict.holds and verdict.trials == 100 and verdict.skipped == 0
         for iota in ("a", "b"):
@@ -159,13 +164,39 @@ def test_criterion_7_detection_power():
     print("criterion 7: PASS (single +1 perturbation flagged three ways)")
 
 
+# pair a has two left generators; the letters do not depend on the seed
+MULTI_LETTERS = BifreeProduct(random_family(random.Random(0), max_degree=1,
+                                            extra_left=("a",))).letters
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.lists(st.sampled_from(MULTI_LETTERS), min_size=2, max_size=3).map(tuple)
+       .filter(lambda w: len(set(eps_of(w))) > 1),
+       st.fractions(-3, 3, max_denominator=4).filter(bool))
+def test_perturbing_one_mixed_word_is_detected(seed, w0, delta):
+    """Bi-freeness is an "if and only if": moving one mixed moment by delta
+    shows up in the cumulant, in the centred product and in every scan."""
+    d = PerturbedJoint(
+        BifreeProduct(random_family(random.Random(seed), max_degree=4, extra_left=("a",))),
+        {w0: delta})
+    assert kappa(d, w0) == delta
+    shifts = centred_shifts(d, w0, seed=seed)
+    assert evaluate(d, shifted_product_expansion(w0, shifts)) == delta
+    n = len(w0)
+    verdicts = [cumulant_test(d, n)] + [
+        test(d, iota, n) for test in (taur_test, liberation_test) for iota in ("a", "b")]
+    for verdict in verdicts:
+        assert not verdict.holds and len(verdict.word) <= n
+
+
 def test_criterion_8_reconstruction_uniqueness():
     rng = random.Random(80)
     pures = random_family(rng, max_degree=6)
     d = BifreeProduct(pures)
     for seed in (0, 1, 2):
         cache = {}
-        for w in words_up_to(d.one_per_face(), 6, mixed_only=True):
+        for w in words_up_to(d.letters, 6, mixed_only=True):
             assert vaccine_reconstruct_moment(pures, w, seed=seed, cache=cache) \
                 == d.phi(w)
     print("criterion 8: PASS (reconstruction = product moment, 3 seeds, |w| <= 6)")
@@ -179,7 +210,7 @@ def test_criterion_9_conditional_factorization():
     def theta_of_sum(pure, s):
         return sum((c * pure.theta(v) for v, c in s.items()), Fraction(0))
 
-    for w in words_up_to(d.one_per_face(), 5, mixed_only=True):
+    for w in words_up_to(d.letters, 5, mixed_only=True):
         shifts = centred_shifts(pures, w)
         lhs = evaluate_theta(d, shifted_product_expansion(w, shifts))
         rhs = Fraction(1)
@@ -198,11 +229,12 @@ def test_criterion_10_liberation_derivative():
         rng = random.Random(100 + seed)
         pures = random_family(rng, max_degree=5)
         ctx = ReplacementContext(pures)
-        for w in words_up_to(ctx.base.one_per_face(), 5, mixed_only=True):
+        d = BifreeProduct(pures)
+        for w in words_up_to(d.letters, 5, mixed_only=True):
             for iota in ("a", "b"):
                 c0, c1 = replacement_expand(pures, w, iota, ctx)
-                assert c0 == ctx.base.phi(w)
-                assert c1 == eval_tensor(ctx.base, taur(w, iota))
+                assert c0 == d.phi(w)
+                assert c1 == eval_tensor(d, taur(w, iota))
     print("criterion 10: PASS (replacement expansion = tensor derivative, 5 families)")
 
 

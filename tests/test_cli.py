@@ -16,6 +16,7 @@ PERTURBED = os.path.join(DATA, "perturbed.json")
 SEC4 = os.path.join(DATA, "sec4.json")
 CONDITIONAL = os.path.join(DATA, "conditional.json")
 ONE_PAIR = os.path.join(DATA, "one_pair.json")
+MULTI_GEN = os.path.join(DATA, "multi_gen.json")
 GOLDEN = os.path.join(DATA, "cli_golden.jsonl")
 GOLDEN_SPECS = ("conditional", "perturbed", "sec4", "two_pairs")
 
@@ -188,6 +189,17 @@ def test_check_liberation(capsys):
     assert out.startswith("COUNTEREXAMPLE word=al bl ")
 
 
+def test_check_scans_every_generator(capsys):
+    """The perturbed word uses am, the second left generator of pair a."""
+    for method, line in [
+            (("cumulants",), "COUNTEREXAMPLE word=am bl value=1\n"),
+            (("taur", "--pair", "b"), "COUNTEREXAMPLE word=am bl value=-1\n"),
+            (("liberation", "--pair", "b"), "COUNTEREXAMPLE word=am bl c0=0 c1=0\n")]:
+        argv = ("check", "--spec", MULTI_GEN, "--method") + method + ("--max-len", "3")
+        assert run(capsys, *argv)[:2] == (1, line)
+        assert run(capsys, *argv, "--widen")[0] == 2
+
+
 @pytest.mark.parametrize("argv", [
     ("moment", "--spec", TWO_PAIRS, "--mode", "conditional", "--word", "al bl"),
     ("check", "--spec", TWO_PAIRS, "--method", "cumulants", "--max-len", "-3"),
@@ -239,6 +251,13 @@ def _set_first_pair(key, value):
     return edit
 
 
+def _add_first_pair_entry(key, value):
+    def edit(spec):
+        spec["pairs"][0]["cumulants"][key] = value
+        return spec
+    return edit
+
+
 def _zero_denominator(spec):
     table = spec["pairs"][0]["cumulants"]
     table[next(iter(table))] = "1/0"
@@ -254,8 +273,12 @@ def _zero_denominator(spec):
     _set_first_pair("cumulants", ["al", 1]),
     _zero_denominator,
     lambda spec: dict(spec, perturbations=[]),
+    _add_first_pair_entry("al zz", "5"),
+    _add_first_pair_entry("bl", "7"),
+    _add_first_pair_entry("", "1"),
 ], ids=["pairs-not-a-list", "top-level-list", "list-id", "string-max-degree",
-        "string-generators", "list-table", "zero-denominator", "list-perturbations"])
+        "string-generators", "list-table", "zero-denominator", "list-perturbations",
+        "unknown-symbol-key", "other-pair-key", "empty-key"])
 def test_malformed_spec_is_a_typed_error(capsys, tmp_path, edit):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(_malformed(edit)), encoding="utf-8")

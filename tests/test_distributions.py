@@ -15,6 +15,7 @@ from bifree import (
     Letter,
     PerturbedJoint,
     ScalarWordSum,
+    SpecError,
     builtin_haar_pair,
     builtin_semicircular_pair,
     evaluate,
@@ -119,10 +120,14 @@ SPEC = {
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational(-2) == Fraction(-2)
+    assert parse_rational("+3") == 3 and parse_rational("-1/2") == Fraction(-1, 2)
     with pytest.raises(ValueError):
         parse_rational(True)
     with pytest.raises(ValueError):
         parse_rational(1.5)
+    for text in ("1.5", "1e3", "1_0", " 1", "1/", "/2", "1/-2"):
+        with pytest.raises(SpecError):
+            parse_rational(text)
 
 
 def test_load_family(tmp_path):

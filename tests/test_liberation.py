@@ -3,18 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bifree import (
     BifreeProduct,
     DomainError,
     ExpPoly,
     Letter,
+    ModeError,
     PerturbedJoint,
-    ReplacementContext,
     TensorSum,
     eval_tensor,
     free_delta,
-    liberation_derivative_check,
+    liberation_test,
     maximal_mono_intervals,
     replacement_expand,
     taur,
@@ -25,7 +26,7 @@ from bifree import (
 )
 from bifree.words import chi_of, eps_of
 
-from conftest import random_family, words_up_to
+from conftest import SWAPS, apply_swaps, random_family, random_table_joint, words_up_to
 
 
 def test_taur_singleton():
@@ -91,18 +92,20 @@ def test_eval_tensor_two_letters():
     assert eval_tensor(d, taur((x, y), "b")) == -1
 
 
-def test_taur_well_defined_under_commutation():
-    rng = random.Random(2)
-    pures = random_family(rng, max_degree=5)
-    d = BifreeProduct(pures)
-    for w in words_up_to(d.letters, 4, mixed_only=True):
-        for i in range(len(w) - 1):
-            a, b = w[i], w[i + 1]
-            if a.pair != b.pair and a.side != b.side:
-                swapped = w[:i] + (b, a) + w[i + 2:]
-                for iota in ("a", "b"):
-                    assert eval_tensor(d, taur(w, iota)) == \
-                        eval_tensor(d, taur(swapped, iota))
+# pair a has two left generators and pair b two right ones
+MULTI = (Letter("al0", "a", "l"), Letter("al1", "a", "l"), Letter("ar", "a", "r"),
+         Letter("bl", "b", "l"), Letter("br0", "b", "r"), Letter("br1", "b", "r"))
+MULTI_JOINT = random_table_joint(MULTI, random.Random(2), max_len=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(MULTI), min_size=1, max_size=5).map(tuple), SWAPS)
+def test_taur_well_defined_under_commutation(w, swaps):
+    """A random table is no bi-free product, so the values compared are not all 0."""
+    v = apply_swaps(w, swaps)
+    for iota in ("a", "b"):
+        assert eval_tensor(MULTI_JOINT, taur(v, iota)) == \
+            eval_tensor(MULTI_JOINT, taur(w, iota))
 
 
 def test_taur_test_verdicts():
@@ -207,7 +210,10 @@ def test_liberation_check_small():
     rng = random.Random(7)
     pures = random_family(rng, max_degree=5)
     d = BifreeProduct(pures)
-    ctx = ReplacementContext(pures)
-    for w in words_up_to(d.letters, 3, mixed_only=True):
-        for iota in ("a", "b"):
-            assert liberation_derivative_check(pures, w, iota, ctx)
+    for iota in ("a", "b"):
+        verdict = liberation_test(d, iota, 3)
+        assert verdict.holds and verdict.checked == len(
+            list(words_up_to(d.letters, 3, mixed_only=True)))
+    # a moment table has no pure distributions to conjugate
+    with pytest.raises(ModeError):
+        liberation_test(random_table_joint(d.letters, rng, max_len=2), "a", 2)

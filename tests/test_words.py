@@ -15,6 +15,8 @@ from bifree import (
     words_up_to,
 )
 
+from conftest import SWAPS, apply_swaps, commutes
+
 XL = Letter("x", "a", "l")
 YR = Letter("y", "b", "r")
 ZL = Letter("z", "b", "l")
@@ -65,16 +67,12 @@ ALPHABET = (XL, YR, ZL, Letter("u", "a", "r"), Letter("v", "c", "l"),
             Letter("c1", "q", "r"), Letter("a1", "q", "r"), Letter("b1", "p", "l"))
 
 
-def _commutes(a, b):
-    return a.pair != b.pair and a.side != b.side
-
-
 def _commutation_class(w):
     seen, todo = {w}, [w]
     while todo:
         v = todo.pop()
         for i in range(len(v) - 1):
-            if _commutes(v[i], v[i + 1]):
+            if commutes(v[i], v[i + 1]):
                 u = v[:i] + (v[i + 1], v[i]) + v[i + 2:]
                 if u not in seen:
                     seen.add(u)
@@ -90,13 +88,9 @@ words = st.lists(st.sampled_from(ALPHABET), max_size=7).map(tuple)
 
 
 @settings(max_examples=200, deadline=None)
-@given(words, st.lists(st.integers(0, 5), max_size=20))
+@given(words, SWAPS)
 def test_canonical_word_invariant_under_allowed_swaps(w, swaps):
-    v = w
-    for i in swaps:
-        if i + 1 < len(v) and _commutes(v[i], v[i + 1]):
-            v = v[:i] + (v[i + 1], v[i]) + v[i + 2:]
-    assert canonical_word(v) == canonical_word(w)
+    assert canonical_word(apply_swaps(w, swaps)) == canonical_word(w)
 
 
 @settings(max_examples=100, deadline=None)
