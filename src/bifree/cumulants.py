@@ -12,6 +12,7 @@ of the first letter into its gaps and its tail.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .bnc import BncPartition, _mobius, enumerate_bnc, s_chi_permutation
 from .errors import InsufficientDataError, ModeError, SizeError
@@ -19,17 +20,18 @@ from .partitions import SetPartition
 from .words import ScanVerdict, chi_of, scan, subword
 
 
-# A sum over a set of partitions is carried as (value, flag).  flag is False
+# A sum over a set of partitions is carried as (num, den, flag): its value is
+# num/den, kept unreduced while products and sums build up.  flag is False
 # when every partition has a block of weight 0; else an InsufficientDataError
 # when some partition has a missing block and no block of weight 0; else
-# True.  A missing block adds 0 to value.
-_ONE, _DEAD = (1, True), (0, False)
+# True.  A missing block adds 0 to the value.
+_ONE, _DEAD = (1, 1, True), (0, 1, False)
 
 
 def _mul(a, b):
-    if not (a[1] and b[1]):
+    if not (a[2] and b[2]):
         return _DEAD
-    return a[0] * b[0], b[1] if a[1] is True else a[1]
+    return a[0] * b[0], a[1] * b[1], b[2] if a[2] is True else a[2]
 
 
 def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fraction:
@@ -46,6 +48,9 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fract
     its block missing, and the sum raises only if some partition has a
     missing block and no block of weight 0.  The explicit sum, which reads
     each partition's blocks up to the first 0, raises on that partition too.
+
+    Arithmetic is exact on integer (num, den, flag) triples: products and
+    sums skip the gcd, and each memo entry is reduced once, when stored.
     """
     n = len(w)
     order = s_chi_permutation(chi_of(w)) if n else ()
@@ -57,9 +62,9 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fract
             sub = subword(w, [order[k] for k in block])
             try:
                 v = (top_weight if top else weight)(sub)
-                weights[block, top] = (v, True) if v else _DEAD
+                weights[block, top] = (v.numerator, v.denominator, True) if v else _DEAD
             except InsufficientDataError as err:
-                weights[block, top] = (0, err)
+                weights[block, top] = (0, 1, err)
         return weights[block, top]
 
     def total(lo, hi, top):
@@ -67,29 +72,31 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fract
             return _ONE
         if (lo, hi, top) in sums:
             return sums[lo, hi, top]
-        value, flag = 0, False
+        num, den, flag = 0, 1, False
         # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
         pending = [((lo,), lo, _ONE)]
         while pending:
             block, last, coeff = pending.pop()
             if not (skip_full and len(block) == n):
                 term = _mul(coeff, total(last + 1, hi, top))
-                if term[1]:
-                    term = _mul(term, block_weight(block, top))
-                    value += term[0]
-                    flag = flag if isinstance(flag, Exception) else term[1] or flag
+                if term[2]:
+                    t_num, t_den, t_flag = _mul(term, block_weight(block, top))
+                    if t_num:
+                        num, den = num * t_den + t_num * den, den * t_den
+                    flag = flag if isinstance(flag, Exception) else t_flag or flag
             for j in range(last + 1, hi):
                 if colour[j] == colour[lo]:
                     gap = _mul(coeff, total(last + 1, j, False))
-                    if gap[1]:
+                    if gap[2]:
                         pending.append((block + (j,), j, gap))
-        sums[lo, hi, top] = value, flag
-        return value, flag
+        g = gcd(num, den)
+        sums[lo, hi, top] = entry = num // g, den // g, flag
+        return entry
 
-    value, flag = total(0, n, top_weight is not None)
+    num, den, flag = total(0, n, top_weight is not None)
     if isinstance(flag, Exception):
         raise flag
-    return Fraction(value)
+    return Fraction(num, den)
 
 
 def _pure_cumulant(pures):

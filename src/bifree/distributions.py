@@ -13,6 +13,11 @@ from .errors import InsufficientDataError, ModeError
 from .words import Letter, ScalarWordSum, canonical_word, word_text
 
 
+def _exact_table(table):
+    """table with tuple keys and Fraction values; a value that is already a Fraction is kept."""
+    return {tuple(k): v if isinstance(v, Fraction) else Fraction(v) for k, v in table.items()}
+
+
 class PureDistribution:
     """Moment/cumulant oracle for words within a single pair of faces."""
 
@@ -87,7 +92,7 @@ class MomentTablePure(PureDistribution):
     def __init__(self, pair, left_symbols, right_symbols, max_degree, moments,
                  theta_table=None):
         super().__init__(pair, left_symbols, right_symbols, max_degree, theta_table)
-        self.table = {tuple(k): Fraction(v) for k, v in moments.items()}
+        self.table = _exact_table(moments)
 
     def _raw_moment(self, w):
         return self._lookup(self.table, w)
@@ -99,7 +104,7 @@ class CumulantTablePure(PureDistribution):
     def __init__(self, pair, left_symbols, right_symbols, max_degree, cumulants_table,
                  theta_table=None):
         super().__init__(pair, left_symbols, right_symbols, max_degree, theta_table)
-        self.table = {tuple(k): Fraction(v) for k, v in cumulants_table.items()}
+        self.table = _exact_table(cumulants_table)
 
     def _raw_cumulant(self, w):
         key = tuple(letter.symbol for letter in w)

@@ -189,8 +189,8 @@ def ubm_moment(n: int) -> ExpPoly:
 
 
 def ubm_eval(n: int, t: float) -> float:
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"t must be finite and nonnegative, got {t}")
     return ubm_moment(n).eval(t)
 
 

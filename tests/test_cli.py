@@ -225,12 +225,14 @@ def test_check_scans_every_generator(capsys):
      "--max-len", "3"),
     ("liberate", "--spec", TWO_PAIRS, "--word", "al", "--pair", "zzz"),
     ("taur", "--spec", TWO_PAIRS, "--word", "al", "--pair", "zzz"),
+    ("ubm", "--n", "1", "--t", "nan"),
+    ("ubm", "--n", "1", "--t", "inf"),
 ], ids=["conditional-without-theta", "max-len-negative", "max-len-zero",
         "trials-negative", "cumulants-max-len-9", "liberation-max-len-9",
         "cumulants-max-len-1", "liberation-max-len-1", "vaccine-max-len-1",
         "cumulants-one-pair", "liberation-one-pair", "vaccine-one-pair",
         "taur-unknown-pair", "liberation-unknown-pair", "liberate-unknown-pair",
-        "taur-command-unknown-pair"])
+        "taur-command-unknown-pair", "ubm-t-nan", "ubm-t-inf"])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

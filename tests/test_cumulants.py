@@ -1,5 +1,7 @@
 import functools
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -247,6 +249,54 @@ def _table_joint(seed):
 def test_kappa_matches_mobius_route(seed, w):
     d = _table_joint(seed)
     assert kappa(d, tuple(w)) == kappa_via_mobius(d, tuple(w))
+
+
+def _primes_above(lo, count):
+    primes, p = [], lo
+    while len(primes) < count:
+        p += 1
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            primes.append(p)
+    return primes
+
+
+_PRIMES = _primes_above(10**4, 600)
+
+
+class _CoprimeTable:
+    """A word -> n/p table: p is a prime above 10^4, a different one for each word read.
+
+    Tables that share one iterator of primes have pairwise coprime denominators,
+    so a sum that drops or mixes up a denominator cannot come out right by luck.
+    """
+
+    def __init__(self, seed, primes):
+        self.seed, self.primes, self.dens = seed, primes, {}
+
+    def __call__(self, sub):
+        text = word_text(sub)
+        if text not in self.dens:
+            self.dens[text] = next(self.primes)
+        return Fraction(random.Random(f"{self.seed}:{text}").randint(-9, 9), self.dens[text])
+
+
+ONE_PAIR = (Letter("x", "a", "l"), Letter("y", "a", "r"), Letter("z", "a", "l"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(ONE_PAIR), min_size=1, max_size=7), st.integers(0, 10**6))
+def test_sums_with_coprime_denominators_match_partition_sum(w, seed):
+    # One pair, so every partition of BNC(chi) is eps-monochromatic and
+    # _partition_sum runs over all of it.
+    w, primes = tuple(w), iter(_PRIMES)
+    pure = types.SimpleNamespace(cumulant=_CoprimeTable(f"{seed}:kappa", primes),
+                                 conditional_cumulant=_CoprimeTable(f"{seed}:theta", primes))
+    pures = {"a": pure}
+    assert moments_from_cumulants(pure.cumulant, w) == _partition_sum(pures, w, False)
+    theta = functools.partial(_partition_sum, pures, conditional=True)
+    assert conditional_kappa_from(theta, pure.cumulant, w) == pure.conditional_cumulant(w)
+    phi = _CoprimeTable(f"{seed}:phi", primes)
+    assert kappa_from_phi(phi, w) == _kappa_sum(phi, w, {})
 
 
 class _TruncatedTable:

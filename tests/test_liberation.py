@@ -174,8 +174,9 @@ def test_ubm_moments():
     assert ubm_eval(2, 1.0) == pytest.approx(0.0, abs=1e-15)
     for n in range(1, 9):
         assert ubm_eval(n, 0.0) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        ubm_eval(1, -1.0)
+    for t in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            ubm_eval(1, t)
 
 
 def test_ubm_taylor_matches_replacement():
