@@ -3,6 +3,8 @@
 A chi-map is a string over {l, r} giving the side of each position 1..n.
 An eps-map is a tuple of pair-color labels of the same length.
 The chi-order lists left positions ascending, then right positions descending.
+BNC(chi) is NC(n) carried through the chi-order, and `_nc_fold` is the one
+recursion over it, generic in the semiring: it enumerates and it sums.
 """
 from __future__ import annotations
 
@@ -101,61 +103,71 @@ class BncPartition:
         return self.partition.n
 
 
-@lru_cache(maxsize=None)
-def _nc_colored(colors: tuple):
-    """Non-crossing partitions of range(len(colors)) with monochromatic blocks.
+def _nc_fold(colour, leaf, ring, top=False):
+    """Sum over the non-crossing partitions of range(len(colour)) with
+    monochromatic blocks of the product of leaf(block of ranks, outer) over
+    their blocks.  ring is (one, mul, add, close); None is the absorbing zero,
+    which the fold skips, so mul and add never see it.
 
-    Recursion on the block of position 0: the gaps between its consecutive
-    elements, and the tail after its last element, are partitioned
-    independently.  Blocks are 0-based tuples.
+    Recursion on the block of lo, whose gaps and tail are partitioned
+    independently; each interval sum is closed and memoised on (lo, hi, top).
+    The tail is summed first and the leaf read only if the tail is not zero.
     """
-    n = len(colors)
-    if n == 0:
-        return ((),)
-    results = []
-    c0 = colors[0]
+    one, mul, add, close = ring
+    sums = {}
 
-    def shift(part, off):
-        return tuple(tuple(x + off for x in b) for b in part)
+    def total(lo, hi, top):
+        if lo == hi:
+            return one
+        if (lo, hi, top) in sums:
+            return sums[lo, hi, top]
+        acc = None
+        # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
+        pending = [((lo,), lo, one)]
+        while pending:
+            block, last, coeff = pending.pop()
+            tail = total(last + 1, hi, top)
+            if tail is not None and (weight := leaf(block, top)) is not None:
+                term = mul(mul(coeff, tail), weight)
+                acc = term if acc is None else add(acc, term)
+            for j in range(last + 1, hi):
+                if colour[j] == colour[lo] and (gap := total(last + 1, j, False)) is not None:
+                    pending.append((block + (j,), j, mul(coeff, gap)))
+        sums[lo, hi, top] = entry = None if acc is None else close(acc)
+        return entry
 
-    def rec(block, last, acc):
-        for tail in _nc_colored(colors[last + 1:]):
-            results.append((tuple(block),) + acc + shift(tail, last + 1))
-        for j in range(last + 1, n):
-            if colors[j] != c0:
-                continue
-            for gap in _nc_colored(colors[last + 1:j]):
-                rec(block + [j], j, acc + shift(gap, last + 1))
-
-    rec([0], 0, ())
-    return tuple(results)
+    return total(0, len(colour), top)
 
 
-def _transport(rank_partition, chi: str) -> SetPartition:
-    order = s_chi_permutation(chi)
-    blocks = _canonical(tuple(order[k] for k in b) for b in rank_partition)
-    return SetPartition(len(chi), blocks)
+# Lists of partitions (tuples of blocks); add extends the fold's fresh product.
+_LISTS = (((),), lambda a, b: [x + y for x in a for y in b], list.__iadd__, tuple)
 
 
 @lru_cache(maxsize=None)
 def enumerate_bnc(chi: str):
     """All bi-non-crossing partitions for chi, in canonical order."""
-    _check_chi(chi)
-    if len(chi) > MAX_GROUND_SET:
-        raise SizeError(f"chi length {len(chi)} exceeds cap {MAX_GROUND_SET}")
-    parts = [_transport(rp, chi) for rp in _nc_colored((0,) * len(chi))]
-    parts.sort(key=lambda p: p.blocks)
+    parts = sorted(_bnc_fold(chi, (0,) * len(chi)), key=lambda p: p.blocks)
     return tuple(BncPartition(p, chi) for p in parts)
 
 
 def enumerate_bnc_leq_eps(chi: str, eps: tuple):
     """Bi-non-crossing partitions for chi whose blocks are all eps-monochromatic."""
+    return tuple(_bnc_fold(chi, eps))
+
+
+def _bnc_fold(chi, eps):
     _check_chi(chi)
     if len(eps) != len(chi):
         raise SizeError(f"eps length {len(eps)} != chi length {len(chi)}")
+    if len(chi) > MAX_GROUND_SET:
+        raise SizeError(f"chi length {len(chi)} exceeds cap {MAX_GROUND_SET}")
     order = s_chi_permutation(chi)
-    colors = tuple(eps[elem - 1] for elem in order)
-    return tuple(_transport(rp, chi) for rp in _nc_colored(colors))
+
+    def leaf(block, outer):
+        return ((tuple(sorted(order[k] for k in block)),),)
+
+    parts = _nc_fold([eps[elem - 1] for elem in order], leaf, _LISTS)
+    return (SetPartition(len(chi), tuple(sorted(blocks))) for blocks in parts)
 
 
 def _blocks_cross(chi, a, b) -> bool:

@@ -4,34 +4,33 @@ Everything here is duck-typed over moment oracles: a "phi" is any callable
 Word -> Fraction with phi(()) == 1, and a pure distribution is any object
 with .cumulant / .conditional_cumulant methods (see distributions.py).
 
-Every moment-cumulant sum goes through `_nc_sum`.  BNC(chi) is NC(n) carried
-through the chi-order, so a sum over BNC(chi) is a sum over non-crossing
-partitions of the letters read in chi-order, and that sum splits at the block
-of the first letter into its gaps and its tail.
+Every moment-cumulant sum goes through `_nc_sum`, which is `bnc._nc_fold`
+over exact integer fractions: BNC(chi) is NC(n) carried through the
+chi-order, so a sum over BNC(chi) is a sum over non-crossing partitions of
+the letters read in chi-order, and the fold splits it at the block of the
+first letter into its gaps and its tail.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-from .bnc import BncPartition, _mobius, enumerate_bnc, s_chi_permutation
+from .bnc import BncPartition, _mobius, _nc_fold, enumerate_bnc, s_chi_permutation
 from .errors import InsufficientDataError, ModeError, SizeError
 from .partitions import SetPartition
 from .words import ScanVerdict, chi_of, scan, subword
 
 
 # A sum over a set of partitions is carried as (num, den, flag): its value is
-# num/den, kept unreduced while products and sums build up.  flag is False
-# when every partition has a block of weight 0; else an InsufficientDataError
-# when some partition has a missing block and no block of weight 0; else
-# True.  A missing block adds 0 to the value.
-_ONE, _DEAD = (1, 1, True), (0, 1, False)
-
-
-def _mul(a, b):
-    if not (a[2] and b[2]):
-        return _DEAD
-    return a[0] * b[0], a[1] * b[1], b[2] if a[2] is True else a[2]
+# num/den, kept unreduced while products and sums build up, and reduced once
+# per memo entry.  None stands for the sums where every partition has a block
+# of weight 0.  Otherwise flag is an InsufficientDataError when some
+# partition has a missing block and no block of weight 0, else True; a
+# missing block adds 0 to the value.  Products and sums keep the error.
+_EXACT = ((1, 1, True),
+          lambda a, b: (a[0] * b[0], a[1] * b[1], b[2] if a[2] is True else a[2]),
+          lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1], b[2] if a[2] is True else a[2]),
+          lambda a: (a[0] // (g := gcd(a[0], a[1])), a[1] // g, a[2]))
 
 
 def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fraction:
@@ -43,58 +42,31 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fract
     by_pair keeps only the partitions whose blocks are eps-monochromatic;
     skip_full leaves out the one-block partition.
 
-    Memoised on (lo, hi, top): the chi-rank interval [lo, hi) and whether it
-    lies at the top level.  A weight that raises InsufficientDataError marks
-    its block missing, and the sum raises only if some partition has a
-    missing block and no block of weight 0.  The explicit sum, which reads
-    each partition's blocks up to the first 0, raises on that partition too.
-
-    Arithmetic is exact on integer (num, den, flag) triples: products and
-    sums skip the gcd, and each memo entry is reduced once, when stored.
+    The sum is bnc._nc_fold over the letters in chi-order.  A weight that
+    raises InsufficientDataError marks its block missing, and the sum raises
+    only if some partition has a missing block and no block of weight 0.
+    The explicit sum, which reads each partition's blocks up to the first 0,
+    raises on that partition too.
     """
     n = len(w)
     order = s_chi_permutation(chi_of(w)) if n else ()
-    colour = [w[p - 1].pair if by_pair else None for p in order]
-    sums, weights = {}, {}
+    weights = {}
 
-    def block_weight(block, top):
+    def leaf(block, top):
+        if skip_full and len(block) == n:
+            return None
         if (block, top) not in weights:
             sub = subword(w, [order[k] for k in block])
             try:
                 v = (top_weight if top else weight)(sub)
-                weights[block, top] = (v.numerator, v.denominator, True) if v else _DEAD
+                weights[block, top] = (v.numerator, v.denominator, True) if v else None
             except InsufficientDataError as err:
                 weights[block, top] = (0, 1, err)
         return weights[block, top]
 
-    def total(lo, hi, top):
-        if lo == hi:
-            return _ONE
-        if (lo, hi, top) in sums:
-            return sums[lo, hi, top]
-        num, den, flag = 0, 1, False
-        # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
-        pending = [((lo,), lo, _ONE)]
-        while pending:
-            block, last, coeff = pending.pop()
-            if not (skip_full and len(block) == n):
-                term = _mul(coeff, total(last + 1, hi, top))
-                if term[2]:
-                    t_num, t_den, t_flag = _mul(term, block_weight(block, top))
-                    if t_num:
-                        num, den = num * t_den + t_num * den, den * t_den
-                    flag = flag if isinstance(flag, Exception) else t_flag or flag
-            for j in range(last + 1, hi):
-                if colour[j] == colour[lo]:
-                    gap = _mul(coeff, total(last + 1, j, False))
-                    if gap[2]:
-                        pending.append((block + (j,), j, gap))
-        g = gcd(num, den)
-        sums[lo, hi, top] = entry = num // g, den // g, flag
-        return entry
-
-    num, den, flag = total(0, n, top_weight is not None)
-    if isinstance(flag, Exception):
+    colour = [w[p - 1].pair if by_pair else None for p in order]
+    num, den, flag = _nc_fold(colour, leaf, _EXACT, top_weight is not None) or (0, 1, True)
+    if flag is not True:
         raise flag
     return Fraction(num, den)
 

@@ -108,6 +108,12 @@ def _rate_text(rate: Fraction) -> str:
     return f"{rate}*t"
 
 
+def _log_ratio(num: int, den: int) -> float:
+    """log(num / den) for positive integers of any size, to within a few ulps."""
+    e = num.bit_length() - den.bit_length()
+    return math.log((num << max(-e, 0)) / (den << max(e, 0))) + e * math.log(2)
+
+
 class ExpPoly:
     """A finite sum of p(t) * exp(rate*t) with rational polynomials and rates."""
 
@@ -134,10 +140,19 @@ class ExpPoly:
         return self
 
     def eval(self, t: float) -> float:
+        """The value at t: each polynomial exactly at t (a float is a binary
+        rational), then exp(rate*t) once, in the log domain, so as not to overflow."""
+        a, b = Fraction(t).as_integer_ratio()
         total = 0.0
         for rate, coeffs in self.terms.items():
-            p = sum(float(c) * t ** k for k, c in enumerate(coeffs))
-            total += p * math.exp(float(rate) * t)
+            # p(a/b) = num / (lcm * b^deg), by Horner's rule over the integers.
+            lcm = math.lcm(*(c.denominator for c in coeffs))
+            num, scale = 0, 1
+            for c in reversed(coeffs):
+                num, scale = num * a + c.numerator * (lcm // c.denominator) * scale, scale * b
+            if num:
+                value = math.exp(_log_ratio(abs(num), lcm * scale // b) + float(rate) * t)
+                total += value if num > 0 else -value
         return total
 
     def taylor1(self):

@@ -15,6 +15,7 @@ from bifree import (
     chi_precedes,
     classify_blocks,
     enumerate_bnc,
+    enumerate_bnc_leq_eps,
     enumerate_set_partitions,
     is_bi_non_crossing,
     join,
@@ -111,6 +112,8 @@ def test_enumerate_bnc_counts():
             assert len(enumerate_bnc(chi)) == c
     with pytest.raises(SizeError):
         enumerate_bnc("l" * 13)
+    with pytest.raises(SizeError):
+        enumerate_bnc_leq_eps(("lr" * 7)[:13], ("a",) * 13)
 
 
 def test_enumerate_bnc_matches_filter():
@@ -121,6 +124,14 @@ def test_enumerate_bnc_matches_filter():
                         if is_bi_non_crossing(p, chi)}
             got = {bp.partition for bp in enumerate_bnc(chi)}
             assert got == expected
+    for n in range(1, 7):
+        for chi in random_chis(rng, n, 4):
+            eps = tuple(rng.choice("ab" if n < 4 else "abc") for _ in range(n))
+            expected = {p for p in enumerate_set_partitions(n)
+                        if is_bi_non_crossing(p, chi)
+                        and all(len({eps[x - 1] for x in b}) == 1 for b in p.blocks)}
+            got = enumerate_bnc_leq_eps(chi, eps)
+            assert len(got) == len(expected) and set(got) == expected
 
 
 def brute_bnc_join(p, q):

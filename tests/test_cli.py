@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bifree import SpecError, load_family
+from bifree import SpecError, enumerate_set_partitions, is_bi_non_crossing, load_family
 from bifree.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -36,6 +36,17 @@ def test_bnc_enum(capsys):
     assert len(lines) == 14
     assert "1 2 3 4" in lines
     assert "1|2|3|4" in lines
+
+
+def test_bnc_enum_prints_brute_force_bnc(capsys):
+    # every chi up to length 5: the bi-non-crossing set partitions, in sorted
+    # block order, one per line
+    for n in range(1, 6):
+        parts = enumerate_set_partitions(n)
+        for chi in map("".join, itertools.product("lr", repeat=n)):
+            blocks = sorted(p.blocks for p in parts if is_bi_non_crossing(p, chi))
+            want = "".join("|".join(" ".join(map(str, b)) for b in bs) + "\n" for bs in blocks)
+            assert run(capsys, "bnc", "enum", "--chi", chi) == (0, want, "")
 
 
 def test_bnc_check(capsys):
@@ -307,6 +318,11 @@ def test_ubm(capsys):
     code, out, _ = run(capsys, "ubm", "--n", "1", "--t", "0")
     assert code == 0
     assert out.strip() == "1"
+    # float evaluation of these overflowed
+    for n, t in (("3", "1e200"), ("600", "0.5")):
+        code, out, _ = run(capsys, "ubm", "--n", n, "--t", t)
+        assert code == 0
+        assert abs(float(out)) <= 1
 
 
 def test_taur_command(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,25 @@ def test_ubm_moments():
     for t in (-1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(DomainError):
             ubm_eval(1, t)
+
+
+def _ubm_exact(n, t):
+    """phi(U(t)^n) to 40 digits: the polynomial exactly at t, times exp(-nt/2) in Decimal."""
+    (rate, coeffs), = ubm_moment(n).terms.items()
+    p = sum(c * Fraction(t) ** k for k, c in enumerate(coeffs))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        e = (Decimal(rate.numerator) * Decimal(t) / rate.denominator).exp()
+        return float(Decimal(p.numerator) / p.denominator * e)
+
+
+def test_ubm_eval_matches_exact_evaluation():
+    # The alternating terms c*t^k cancel; |phi(U(t)^n)| <= 1 for a unitary.
+    for n in range(1, 61):
+        for t in (0.5, 1.0, 5.0):
+            value = ubm_eval(n, t)
+            assert value == pytest.approx(_ubm_exact(n, t), rel=1e-10, abs=1e-300)
+            assert abs(value) <= 1
 
 
 def test_ubm_taylor_matches_replacement():
