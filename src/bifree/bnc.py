@@ -3,13 +3,14 @@
 A chi-map is a string over {l, r} giving the side of each position 1..n.
 An eps-map is a tuple of pair-color labels of the same length.
 The chi-order lists left positions ascending, then right positions descending.
-BNC(chi) is NC(n) carried through the chi-order, and `_nc_fold` is the one
-recursion over it, generic in the semiring: it enumerates and it sums.
+A chi-interval is a contiguous slice of the chi-order.  BNC(chi) is NC(n)
+carried through the chi-order, and `_nc_fold` is the one recursion over it,
+generic in the semiring: it enumerates and it sums.  Nothing is cached across
+calls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, groupby
 from math import comb
 
@@ -37,7 +38,6 @@ def s_chi_permutation(chi: str):
     return tuple(lefts + rights[::-1])
 
 
-@lru_cache(maxsize=None)
 def _ranks(chi: str) -> dict:
     """Element -> 0-based rank in chi-order."""
     return {elem: k for k, elem in enumerate(s_chi_permutation(chi))}
@@ -58,23 +58,14 @@ def chi_interval(chi, i, j, left_closed=True, right_closed=True) -> frozenset:
     the chi-last) position; the adjacent closure flag is then ignored.
     """
     ranks = _ranks(chi)
-    n = len(chi)
-    if i is None:
-        lo = 0
-    else:
-        if i not in ranks:
-            raise IndexError(f"index {i} out of range")
-        lo = ranks[i] + (0 if left_closed else 1)
-    if j is None:
-        hi = n - 1
-    else:
-        if j not in ranks:
-            raise IndexError(f"index {j} out of range")
-        hi = ranks[j] - (0 if right_closed else 1)
+    for end in (i, j):
+        if end is not None and end not in ranks:
+            raise IndexError(f"index {end} out of range")
     if i is not None and j is not None and ranks[i] > ranks[j]:
         raise OrderError(f"{j} chi-precedes {i}")
-    order = s_chi_permutation(chi)
-    return frozenset(order[k] for k in range(lo, hi + 1))
+    lo = 0 if i is None else ranks[i] + (0 if left_closed else 1)
+    hi = len(chi) if j is None else ranks[j] + (1 if right_closed else 0)
+    return frozenset(s_chi_permutation(chi)[lo:hi])
 
 
 def is_bi_non_crossing(p: SetPartition, chi: str) -> bool:
@@ -143,7 +134,6 @@ def _nc_fold(colour, leaf, ring, top=False):
 _LISTS = (((),), lambda a, b: [x + y for x in a for y in b], list.__iadd__, tuple)
 
 
-@lru_cache(maxsize=None)
 def enumerate_bnc(chi: str):
     """All bi-non-crossing partitions for chi, in canonical order."""
     parts = sorted(_bnc_fold(chi, (0,) * len(chi)), key=lambda p: p.blocks)
@@ -170,9 +160,8 @@ def _bnc_fold(chi, eps):
     return (SetPartition(len(chi), tuple(sorted(blocks))) for blocks in parts)
 
 
-def _blocks_cross(chi, a, b) -> bool:
+def _blocks_cross(ranks, a, b) -> bool:
     # Two blocks cross iff their rank-sorted merge alternates at least 3 times.
-    ranks = _ranks(chi)
     merged = sorted([(ranks[x], 0) for x in a] + [(ranks[x], 1) for x in b])
     switches = sum(1 for s, t in zip(merged, merged[1:]) if s[1] != t[1])
     return switches >= 3
@@ -180,7 +169,8 @@ def _blocks_cross(chi, a, b) -> bool:
 
 def _crossing_pair(chi, blocks):
     """The first two blocks that cross in chi-order, or None."""
-    return next(((a, b) for a, b in combinations(blocks, 2) if _blocks_cross(chi, a, b)),
+    ranks = _ranks(chi)
+    return next(((a, b) for a, b in combinations(blocks, 2) if _blocks_cross(ranks, a, b)),
                 None)
 
 

@@ -18,7 +18,7 @@ from .bnc import (
     maximal_mono_intervals,
 )
 from .cumulants import cumulant_test
-from .errors import BiFreeError, DomainError, ModeError
+from .errors import BiFreeError, DomainError, ModeError, SizeError
 from .liberation import (
     eval_tensor,
     liberation_test,
@@ -101,7 +101,15 @@ def cmd_check(args) -> int:
 
 def cmd_ubm(args) -> int:
     if args.t is None:
-        print(ubm_moment(args.n).render())
+        moment = ubm_moment(args.n)
+        try:
+            text = moment.render()
+        except ValueError:  # an integer past the interpreter's str() digit limit
+            raise SizeError(
+                f"ubm --n {args.n}: a coefficient has more than "
+                f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+                "for printing an integer") from None
+        print(text)
     else:
         print(f"{ubm_eval(args.n, args.t):.12g}")
     return 0

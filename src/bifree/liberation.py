@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from .bnc import chi_interval, chi_precedes
+from .bnc import s_chi_permutation
 from .distributions import BifreeProduct, builtin_semicircular_pair
 from .errors import DomainError, ModeError
 from .words import ScanVerdict, TensorSum, chi_of, scan, subword
@@ -21,22 +22,17 @@ def taur(w, iota) -> TensorSum:
 
     For each pair i chi-before-or-equal j of iota-colored positions, the
     closed / half-open / open chi-intervals contribute +, -, -, + copies of
-    (complement subword) tensor (interval subword).
+    (complement subword) tensor (interval subword).  With a, b the chi-ranks
+    of i, j, each interval is the slice order[lo:hi] of the chi-order.
     """
     out = TensorSum()
-    chi = chi_of(w)
-    positions = [i for i, letter in enumerate(w, 1) if letter.pair == iota]
-    everything = set(range(1, len(w) + 1))
-    for i in positions:
-        for j in positions:
-            if i != j and not chi_precedes(chi, i, j):
-                continue
-            for left_closed, right_closed, sign in (
-                    (True, True, 1), (True, False, -1),
-                    (False, True, -1), (False, False, 1)):
-                interval = chi_interval(chi, i, j, left_closed, right_closed)
-                out.add((subword(w, everything - interval),
-                         subword(w, interval)), sign)
+    order = s_chi_permutation(chi_of(w)) if w else ()
+    ranks = [k for k, i in enumerate(order) if w[i - 1].pair == iota]
+    for a, b in combinations_with_replacement(ranks, 2):
+        for lo, hi, sign in ((a, b + 1, 1), (a, b, -1), (a + 1, b + 1, -1), (a + 1, b, 1)):
+            # the open interval (i, i) is empty: lo > hi, and the complement is everything
+            out.add((subword(w, order[:lo] + order[max(lo, hi):]),
+                     subword(w, order[lo:hi])), sign)
     return out
 
 
@@ -189,17 +185,16 @@ def ubm_moment(n: int) -> ExpPoly:
     """phi(U(t)^n) as an exact exponential polynomial.
 
     sum_{k=0}^{n-1} (-1)^k t^k/k! n^{k-1} C(n, k+1) exp(-nt/2); n = 0 gives
-    the constant 1.
+    the constant 1.  The coefficients follow from c_0 = 1 by the ratio
+    c_k / c_{k-1} = -n (n - k) / (k (k + 1)).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return ExpPoly({Fraction(0): (Fraction(1),)})
-    coeffs = []
-    for k in range(n):
-        c = (Fraction((-1) ** k, math.factorial(k))
-             * Fraction(n) ** (k - 1) * math.comb(n, k + 1))
-        coeffs.append(c)
+    coeffs = [Fraction(1)]
+    for k in range(1, n):
+        coeffs.append(coeffs[-1] * Fraction(-n * (n - k), k * (k + 1)))
     return ExpPoly({Fraction(-n, 2): tuple(coeffs)})
 
 

@@ -27,9 +27,7 @@ _RESAMPLE_LIMIT = 16
 
 
 def _oracle(pures):
-    """Turn a pures mapping / joint distribution / callable into a moment oracle."""
-    if callable(pures):
-        return pures
+    """Turn a pures mapping or a joint distribution into a moment oracle."""
     if hasattr(pures, "phi"):
         return pures.phi
     def pure_phi(word):
@@ -68,6 +66,7 @@ def _centre_interval(oracle, sub, rng) -> list:
 def centred_shifts(pures, w, seed=0) -> dict:
     """Per-letter shifts making every maximal monochromatic chi-interval centred.
 
+    pures is a mapping pair -> pure distribution, or a joint distribution.
     Returns a mapping 1-based position -> rational shift.
     """
     oracle = _oracle(pures)

@@ -81,6 +81,22 @@ def test_chi_interval():
         chi_interval(CHI8, 6, 8)
 
 
+def test_chi_interval_matches_chi_precedes():
+    """Membership read from chi_precedes, for every i <= j, the rays and all flags."""
+    rng = random.Random(9)
+    for n in range(1, 9):
+        for chi in random_chis(rng, n, 3):
+            elems = range(1, n + 1)
+            for i, j in itertools.product((None, *elems), repeat=2):
+                if i is not None and j is not None and chi_precedes(chi, j, i):
+                    continue
+                for lc, rc in itertools.product((True, False), repeat=2):
+                    want = {k for k in elems
+                            if (i is None or chi_precedes(chi, i, k) or (lc and k == i))
+                            and (j is None or chi_precedes(chi, k, j) or (rc and k == j))}
+                    assert chi_interval(chi, i, j, lc, rc) == want
+
+
 def test_is_bi_non_crossing_examples():
     for chi in ("llll", "rlrl", CHI8):
         n = len(chi)

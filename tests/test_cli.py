@@ -3,11 +3,18 @@ import io
 import itertools
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
-from bifree import SpecError, enumerate_set_partitions, is_bi_non_crossing, load_family
+from bifree import (
+    SpecError,
+    enumerate_set_partitions,
+    is_bi_non_crossing,
+    load_family,
+    ubm_eval,
+)
 from bifree.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -21,6 +28,10 @@ GOLDEN = os.path.join(DATA, "cli_golden.jsonl")
 GOLDEN_SPECS = ("conditional", "perturbed", "sec4", "two_pairs")
 
 CHI8 = "rlllrrlr"
+# Python 3.10.0-3.10.6 print integers of any length; elsewhere 0 lifts the limit.
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter prints integers of any length")
 
 
 def run(capsys, *argv):
@@ -238,17 +249,29 @@ def test_check_scans_every_generator(capsys):
     ("taur", "--spec", TWO_PAIRS, "--word", "al", "--pair", "zzz"),
     ("ubm", "--n", "1", "--t", "nan"),
     ("ubm", "--n", "1", "--t", "inf"),
+    pytest.param(("ubm", "--n", "1800"), marks=NEEDS_DIGIT_LIMIT),
 ], ids=["conditional-without-theta", "max-len-negative", "max-len-zero",
         "trials-negative", "cumulants-max-len-9", "liberation-max-len-9",
         "cumulants-max-len-1", "liberation-max-len-1", "vaccine-max-len-1",
         "cumulants-one-pair", "liberation-one-pair", "vaccine-one-pair",
         "taur-unknown-pair", "liberation-unknown-pair", "liberate-unknown-pair",
-        "taur-command-unknown-pair", "ubm-t-nan", "ubm-t-inf"])
+        "taur-command-unknown-pair", "ubm-t-nan", "ubm-t-inf", "ubm-past-digit-limit"])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@NEEDS_DIGIT_LIMIT
+def test_ubm_past_the_digit_limit_names_n_and_the_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, _, err = run(capsys, "ubm", "--n", "1800")
+    assert code == 2
+    assert "--n 1800" in err and f"more than {limit} digits" in err
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run(capsys, "ubm", "--n", "1800", "--t", "0.5")
+    assert (code, out) == (0, f"{ubm_eval(1800, 0.5):.12g}\n")
 
 
 def _malformed(edit):

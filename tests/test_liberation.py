@@ -25,7 +25,8 @@ from bifree import (
     ubm_moment,
     ubm_power_expansion,
 )
-from bifree.words import chi_of, eps_of
+from bifree.bnc import chi_interval, chi_precedes
+from bifree.words import chi_of, eps_of, subword
 
 from conftest import SWAPS, apply_swaps, random_family, random_table_joint, words_up_to
 
@@ -109,6 +110,30 @@ def test_taur_well_defined_under_commutation(w, swaps):
             eval_tensor(MULTI_JOINT, taur(w, iota))
 
 
+def _taur_by_intervals(w, iota):
+    """The definition: chi_precedes picks the pairs, chi_interval the four intervals."""
+    out = TensorSum()
+    chi = chi_of(w)
+    positions = [i for i, letter in enumerate(w, 1) if letter.pair == iota]
+    everything = set(range(1, len(w) + 1))
+    for i in positions:
+        for j in positions:
+            if i != j and not chi_precedes(chi, i, j):
+                continue
+            for left_closed, right_closed, sign in (
+                    (True, True, 1), (True, False, -1),
+                    (False, True, -1), (False, False, 1)):
+                interval = chi_interval(chi, i, j, left_closed, right_closed)
+                out.add((subword(w, everything - interval), subword(w, interval)), sign)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(MULTI), max_size=7).map(tuple), st.sampled_from("ab"))
+def test_taur_matches_interval_definition(w, iota):
+    assert taur(w, iota).terms == _taur_by_intervals(w, iota).terms
+
+
 def test_taur_test_verdicts():
     rng = random.Random(3)
     pures = random_family(rng, max_degree=6)
@@ -178,6 +203,20 @@ def test_ubm_moments():
     for t in (-1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(DomainError):
             ubm_eval(1, t)
+
+
+def _ubm_closed_form(n):
+    """The docstring's sum, each coefficient computed on its own."""
+    if n == 0:
+        return ExpPoly({Fraction(0): (Fraction(1),)})
+    return ExpPoly({Fraction(-n, 2): tuple(
+        Fraction((-1) ** k, math.factorial(k)) * Fraction(n) ** (k - 1) * math.comb(n, k + 1)
+        for k in range(n))})
+
+
+def test_ubm_moment_matches_closed_form():
+    for n in range(61):
+        assert ubm_moment(n) == _ubm_closed_form(n)
 
 
 def _ubm_exact(n, t):
