@@ -127,7 +127,10 @@ def _nc_fold(colour, leaf, ring, top=False):
         sums[lo, hi, top] = entry = None if acc is None else close(acc)
         return entry
 
-    return total(0, len(colour), top)
+    try:
+        return total(0, len(colour), top)
+    finally:
+        total = None  # break total's self-reference, so the memo is freed on return
 
 
 # Lists of partitions (tuples of blocks); add extends the fold's fresh product.

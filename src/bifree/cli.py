@@ -7,6 +7,7 @@ fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bnc import (
@@ -133,6 +134,7 @@ def cmd_liberate(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # one parser per process: each parse fills a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bifree",

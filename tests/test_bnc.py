@@ -1,10 +1,13 @@
+import gc
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from bifree import (
     BncPartition,
+    Letter,
     OrderError,
     SetPartition,
     SizeError,
@@ -21,6 +24,7 @@ from bifree import (
     join,
     lattice_mobius,
     maximal_mono_intervals,
+    moments_from_cumulants,
     refines,
     s_chi_permutation,
 )
@@ -130,6 +134,20 @@ def test_enumerate_bnc_counts():
         enumerate_bnc("l" * 13)
     with pytest.raises(SizeError):
         enumerate_bnc_leq_eps(("lr" * 7)[:13], ("a",) * 13)
+
+
+def test_fold_leaves_no_garbage():
+    """The fold's memo is freed on return, not left in a cycle for the collector."""
+    w = tuple(Letter(f"{p}{side}", p, side) for p, side in zip("abbaabab", "lrrllrlr"))
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_bnc("lrlrlrlr")
+        assert gc.collect() == 0
+        moments_from_cumulants(lambda s: Fraction(len(s), 3), w)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_bnc_matches_filter():

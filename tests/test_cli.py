@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -15,9 +16,10 @@ from bifree import (
     load_family,
     ubm_eval,
 )
-from bifree.cli import main
+from bifree.cli import build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 TWO_PAIRS = os.path.join(DATA, "two_pairs.json")
 PERTURBED = os.path.join(DATA, "perturbed.json")
 SEC4 = os.path.join(DATA, "sec4.json")
@@ -406,6 +408,11 @@ def golden_call(spec, argv):
     return [argv[0], "--spec", os.path.join(DATA, spec + ".json")] + argv[1:]
 
 
+def golden_records():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 def test_cli_matches_golden(capsys):
     """Exit code and stdout of every golden call match tests/data/cli_golden.jsonl.
 
@@ -413,12 +420,42 @@ def test_cli_matches_golden(capsys):
     with `PYTHONPATH=src python tests/test_cli.py` only when a change to the
     CLI output is intended.
     """
-    with open(GOLDEN, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh]
+    records = golden_records()
     assert [r[:2] for r in records] == [
         [spec, argv] for spec in GOLDEN_SPECS for argv in golden_argvs(spec)]
     for spec, argv, code, out in records:
         assert run(capsys, *golden_call(spec, argv))[:2] == (code, out), argv
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    """main() reuses one parser: no option may carry over from an earlier call."""
+    assert build_parser() is build_parser()
+    vaccine = ("moment", "--spec", SEC4, "--mode", "vaccine", "--word", "w x y z")
+    assert run(capsys, *vaccine, "--seed", "1")[0] == 0
+    assert run(capsys, *vaccine)[0] == 2
+    taur = ("check", "--spec", TWO_PAIRS, "--method", "taur", "--max-len", "3")
+    assert run(capsys, *taur, "--pair", "a")[0] == 0
+    assert run(capsys, *taur)[0] == 2
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: bifree")
+    spec, argv, code, out = next(r for r in golden_records() if r[1][0] == "moment")
+    assert run(capsys, *golden_call(spec, argv))[:2] == (code, out)
+
+
+def test_one_shot_process_matches_golden():
+    """`python -m bifree.cli` in a fresh process, for the first golden call
+    with each exit code."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    firsts = {}
+    for record in golden_records():
+        firsts.setdefault(record[2], record)
+    assert sorted(firsts) == [0, 1, 2]
+    for spec, argv, code, out in firsts.values():
+        proc = subprocess.run([sys.executable, "-m", "bifree.cli", *golden_call(spec, argv)],
+                              env=env, capture_output=True, encoding="utf-8", check=False,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out), argv
 
 
 def _record_golden():
