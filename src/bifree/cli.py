@@ -34,6 +34,11 @@ from .specfile import load_family
 from .vaccine import vaccine_reconstruct_moment, vaccine_test
 
 
+# `ubm --n` above this exits 2 before any work; `ubm --n 3000 --t 1` takes
+# about 2 s, and the time grows about as n^3 (n = 10,000 took 69 s)
+UBM_MAX_N = 3000
+
+
 def _parse_eps(text: str) -> tuple:
     return tuple(tok.strip() for tok in text.split(","))
 
@@ -101,6 +106,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_ubm(args) -> int:
+    if args.n > UBM_MAX_N:
+        raise SizeError(f"ubm --n must be at most {UBM_MAX_N}, got {args.n}")
     if args.t is None:
         moment = ubm_moment(args.n)
         try:

@@ -14,8 +14,20 @@ from .words import Letter, ScalarWordSum, canonical_word, word_text
 
 
 def _exact_table(table):
-    """table with tuple keys and Fraction values; a value that is already a Fraction is kept."""
-    return {tuple(k): v if isinstance(v, Fraction) else Fraction(v) for k, v in table.items()}
+    """A copy of table with tuple keys; _read makes each value a Fraction on its first read."""
+    return {tuple(k): v for k, v in table.items()}
+
+
+def _read(table, key):
+    """table[key] as a Fraction, converted on its first read and stored back.
+
+    A value may be any exact number that Fraction() takes, such as a checked
+    spec literal (an int or a "p/q" string).
+    """
+    v = table[key]
+    if type(v) is not Fraction:
+        v = table[key] = Fraction(v)
+    return v
 
 
 class PureDistribution:
@@ -47,7 +59,7 @@ class PureDistribution:
         """The entry of a symbol-keyed table for w; a missing one is an error."""
         key = tuple(letter.symbol for letter in w)
         if key in table and (self.max_degree is None or len(w) <= self.max_degree):
-            return table[key]
+            return _read(table, key)
         raise InsufficientDataError(word_text(w))
 
     # subclasses provide one of _raw_moment / _raw_cumulant
@@ -108,7 +120,7 @@ class CumulantTablePure(PureDistribution):
 
     def _raw_cumulant(self, w):
         key = tuple(letter.symbol for letter in w)
-        return self.table.get(key, Fraction(0))
+        return _read(self.table, key) if key in self.table else Fraction(0)
 
 
 class CallablePure(PureDistribution):

@@ -10,12 +10,17 @@ An optional top-level "perturbations" mapping (same word syntax) adds rational
 deltas to mixed moments of the bi-free product; it is how a spec file
 expresses the table-with-perturbation mode.
 
-A file of any other shape raises SpecError.
+A file of any other shape raises SpecError, and so does a file that is not
+JSON or nests too deeply to decode.  Every key and value is checked at load,
+but a table keeps each value as the literal it was written as: the pure
+distribution converts an entry to a Fraction the first time it reads it, so
+a query pays only for the entries it reads.
 """
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .distributions import (
@@ -29,8 +34,16 @@ from .errors import SpecError
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
 
+# Fraction(v) reads such a string exactly as parse_rational(v) does, and
+# without error: it has a nonzero denominator, and no part can pass the
+# interpreter's limit on reading an integer, which is never set below 640
+# digits (sys.int_info.str_digits_check_threshold).
+_SAFE_LITERAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?", re.ASCII)
+_SAFE_LENGTH = 640
+
 
 def parse_rational(v) -> Fraction:
+    """The value of a spec literal: an integer, or a "p" or "p/q" string."""
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     m = _RATIONAL.fullmatch(v) if isinstance(v, str) else None
@@ -40,18 +53,38 @@ def parse_rational(v) -> Fraction:
         return Fraction(int(m[1]), int(m[2] or 1))
     except ZeroDivisionError:
         raise SpecError(f"not a rational: {v!r}") from None
+    except ValueError:  # a part past the interpreter's limit on reading an integer
+        raise SpecError(
+            f"a rational of {len(v)} characters has a part of more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+            "for reading an integer") from None
 
 
-def _parse_table(mapping, what, symbols):
-    """A table whose keys are nonempty words over `symbols`."""
+def _literal(v):
+    """v itself when Fraction(v) reads it as parse_rational(v), else parse_rational(v)."""
+    if type(v) is int or (
+            type(v) is str and len(v) <= _SAFE_LENGTH and _SAFE_LITERAL.fullmatch(v)):
+        return v
+    return parse_rational(v)
+
+
+def _parse_table(mapping, what, symbols, words):
+    """A table whose keys are nonempty words over `symbols`, with checked literals.
+
+    `words` maps each key text already checked against `symbols` to its word,
+    so that tables with the same keys split each text once.
+    """
     if not isinstance(mapping, dict):
         raise SpecError(f"{what} must be an object, got {type(mapping).__name__}")
     table = {}
     for text, v in mapping.items():
-        key = tuple(text.split())
-        if not key or not symbols.issuperset(key):
-            raise SpecError(f"{what} key {text!r} is not a word over {sorted(symbols)}")
-        table[key] = parse_rational(v)
+        key = words.get(text)
+        if key is None:
+            key = tuple(text.split())
+            if not key or not symbols.issuperset(key):
+                raise SpecError(f"{what} key {text!r} is not a word over {sorted(symbols)}")
+            words[text] = key
+        table[key] = _literal(v)
     return table
 
 
@@ -93,15 +126,25 @@ class Family:
         return d
 
 
+def _decode(fh):
+    """The JSON value read from fh; text that JSON cannot decode is a SpecError."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise SpecError("the spec nests too deeply to decode as JSON") from None
+    except ValueError as exc:  # not JSON, or an integer past the digit limit
+        raise SpecError(str(exc)) from None
+
+
 def load_family(source) -> Family:
     """Load a Family from a path, file object, or already-parsed dict."""
     if isinstance(source, dict):
         data = source
     elif hasattr(source, "read"):
-        data = json.load(source)
+        data = _decode(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _decode(fh)
 
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
         raise SpecError('a spec must be an object whose "pairs" is a list')
@@ -119,8 +162,9 @@ def load_family(source) -> Family:
         max_degree = spec.get("max_degree")
         if max_degree is not None and (type(max_degree) is not int or max_degree < 0):
             raise SpecError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
+        symbols, words = set(left + right), {}
         def table(name):
-            return _parse_table(spec[name], f"pair {pair!r} {name}", set(left + right))
+            return _parse_table(spec[name], f"pair {pair!r} {name}", symbols, words)
         theta = table("theta_moments") if "theta_moments" in spec else None
         has_m, has_c = "moments" in spec, "cumulants" in spec
         if has_m == has_c:
@@ -133,4 +177,4 @@ def load_family(source) -> Family:
                 pair, left, right, max_degree, table("cumulants"), theta_table=theta)
 
     symbols = {letter.symbol for pure in pures.values() for letter in pure.letters}
-    return Family(pures, _parse_table(data.get("perturbations", {}), "perturbations", symbols))
+    return Family(pures, _parse_table(data.get("perturbations", {}), "perturbations", symbols, {}))

@@ -16,7 +16,7 @@ from bifree import (
     load_family,
     ubm_eval,
 )
-from bifree.cli import build_parser, main
+from bifree.cli import UBM_MAX_N, build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -252,12 +252,15 @@ def test_check_scans_every_generator(capsys):
     ("ubm", "--n", "1", "--t", "nan"),
     ("ubm", "--n", "1", "--t", "inf"),
     pytest.param(("ubm", "--n", "1800"), marks=NEEDS_DIGIT_LIMIT),
+    ("ubm", "--n", str(UBM_MAX_N + 1), "--t", "1"),
+    ("ubm", "--n", "100000000"),
 ], ids=["conditional-without-theta", "max-len-negative", "max-len-zero",
         "trials-negative", "cumulants-max-len-9", "liberation-max-len-9",
         "cumulants-max-len-1", "liberation-max-len-1", "vaccine-max-len-1",
         "cumulants-one-pair", "liberation-one-pair", "vaccine-one-pair",
         "taur-unknown-pair", "liberation-unknown-pair", "liberate-unknown-pair",
-        "taur-command-unknown-pair", "ubm-t-nan", "ubm-t-inf", "ubm-past-digit-limit"])
+        "taur-command-unknown-pair", "ubm-t-nan", "ubm-t-inf", "ubm-past-digit-limit",
+        "ubm-n-past-size-limit", "ubm-n-huge"])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -296,6 +299,19 @@ def _add_first_pair_entry(key, value):
     return edit
 
 
+def _first_entry_as(literal):
+    """An edit to the spec's text: its first cumulant written as raw JSON."""
+    def edit(spec):
+        table = spec["pairs"][0]["cumulants"]
+        table[next(iter(table))] = "LITERAL"
+        return json.dumps(spec).replace('"LITERAL"', literal)
+    return edit
+
+
+# one digit more than int() reads, where the interpreter limits it
+LONG_DIGITS = "7" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+
+
 def _zero_denominator(spec):
     table = spec["pairs"][0]["cumulants"]
     table[next(iter(table))] = "1/0"
@@ -314,12 +330,19 @@ def _zero_denominator(spec):
     _add_first_pair_entry("al zz", "5"),
     _add_first_pair_entry("bl", "7"),
     _add_first_pair_entry("", "1"),
+    pytest.param(_first_entry_as(LONG_DIGITS), marks=NEEDS_DIGIT_LIMIT),
+    pytest.param(_first_entry_as(f'"-{LONG_DIGITS}/3"'), marks=NEEDS_DIGIT_LIMIT),
+    pytest.param(_first_entry_as(f'"3/{LONG_DIGITS}"'), marks=NEEDS_DIGIT_LIMIT),
+    lambda spec: "[" * 100_000,
 ], ids=["pairs-not-a-list", "top-level-list", "list-id", "string-max-degree",
         "string-generators", "list-table", "zero-denominator", "list-perturbations",
-        "unknown-symbol-key", "other-pair-key", "empty-key"])
+        "unknown-symbol-key", "other-pair-key", "empty-key", "int-past-digit-limit",
+        "numerator-past-digit-limit", "denominator-past-digit-limit", "deeply-nested"])
 def test_malformed_spec_is_a_typed_error(capsys, tmp_path, edit):
+    """Refused at load, before any entry is read; the CLI exits 2 with an error line."""
+    spec = _malformed(edit)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(_malformed(edit)), encoding="utf-8")
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec), encoding="utf-8")
     with pytest.raises(SpecError):
         load_family(str(path))
     code, out, err = run(capsys, "moment", "--spec", str(path), "--word", "al")

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,63 @@ def test_malformed_spec_raises_a_typed_error(data):
         load_family(io.StringIO(json.dumps(spec)))
     except (BiFreeError, KeyError):
         pass
+
+
+# SPEC with a theta layer on pair a: one table of each kind
+LAYERED = {"pairs": [dict(SPEC["pairs"][0], theta_moments=dict(SPEC["pairs"][0]["moments"])),
+                     SPEC["pairs"][1]]}
+TABLES = {(pair["id"], name): pair[name] for pair in LAYERED["pairs"]
+          for name in ("moments", "cumulants", "theta_moments") if name in pair}
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# more digits than the least limit int() may be given: converted at load
+LONG = st.integers(10**640, 10**700)
+
+INVALID_LITERALS = (
+    st.floats() | st.booleans() | st.none() | st.lists(st.integers(), max_size=2)
+    | st.sampled_from(["1/0", "1/00", "1.5", " 1", "1_0", "\u0661", "-0/000"])
+    | (st.sampled_from(["D", "-D", "D/3", "3/D", "0D/1"]).map(
+        lambda form: form.replace("D", "7" * DIGIT_LIMIT + "7"))
+       if DIGIT_LIMIT else st.nothing()))
+
+VALID_LITERALS = st.integers(-10**30, 10**30) | st.builds(
+    lambda sign, zeros, num, den: sign + "0" * zeros + str(num) + (
+        "" if den is None else "/" + "0" * zeros + str(den)),
+    st.sampled_from(["", "+", "-"]), st.integers(0, 3),
+    st.integers(0, 10**30) | LONG, st.none() | st.integers(1, 10**30) | LONG)
+
+
+@st.composite
+def entries(draw):
+    """(pair, table name, key text) of one entry of LAYERED; each table equally likely."""
+    pair, name = draw(st.sampled_from(sorted(TABLES)))
+    return pair, name, draw(st.sampled_from(sorted(TABLES[pair, name])))
+
+
+def _with_entry(entry, literal):
+    """LAYERED with the entry set to literal."""
+    pair, name, text = entry
+    spec = json.loads(json.dumps(LAYERED))
+    next(p for p in spec["pairs"] if p["id"] == pair)[name][text] = literal
+    return spec
+
+
+@given(entries(), INVALID_LITERALS)
+@settings(max_examples=100, deadline=None)
+def test_invalid_literal_is_refused_at_load(entry, literal):
+    """A bad value anywhere in a table fails the load itself, before any read."""
+    with pytest.raises(SpecError):
+        load_family(_with_entry(entry, literal))
+
+
+@given(entries(), VALID_LITERALS)
+@settings(max_examples=100, deadline=None)
+def test_valid_literal_reads_back_exactly(entry, literal):
+    """moment, cumulant and theta read a valid literal as parse_rational does."""
+    fam = load_family(_with_entry(entry, literal))
+    pair, name, text = entry
+    read = {"moments": "moment", "cumulants": "cumulant", "theta_moments": "theta"}[name]
+    value = getattr(fam.pures[pair], read)(fam.word(text))
+    assert type(value) is Fraction and value == parse_rational(literal)
 
 
 def test_load_family_perturbations():
