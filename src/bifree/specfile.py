@@ -12,9 +12,10 @@ expresses the table-with-perturbation mode.
 
 A file of any other shape raises SpecError, and so does a file that is not
 JSON or nests too deeply to decode.  Every key and value is checked at load,
-but a table keeps each value as the literal it was written as: the pure
-distribution converts an entry to a Fraction the first time it reads it, so
-a query pays only for the entries it reads.
+but a pure's table keeps each value as the literal it was written as: the
+pure distribution converts an entry to a Fraction the first time it reads it,
+so a query pays only for the entries it reads.  The perturbations, all of
+which the joint reads, are Fractions from the start.
 """
 from __future__ import annotations
 
@@ -68,22 +69,15 @@ def _literal(v):
     return parse_rational(v)
 
 
-def _parse_table(mapping, what, symbols, words):
-    """A table whose keys are nonempty words over `symbols`, with checked literals.
-
-    `words` maps each key text already checked against `symbols` to its word,
-    so that tables with the same keys split each text once.
-    """
+def _parse_table(mapping, what, symbols):
+    """A table whose keys are nonempty words over `symbols`, with checked literals."""
     if not isinstance(mapping, dict):
         raise SpecError(f"{what} must be an object, got {type(mapping).__name__}")
     table = {}
     for text, v in mapping.items():
-        key = words.get(text)
-        if key is None:
-            key = tuple(text.split())
-            if not key or not symbols.issuperset(key):
-                raise SpecError(f"{what} key {text!r} is not a word over {sorted(symbols)}")
-            words[text] = key
+        key = tuple(text.split())
+        if not key or not symbols.issuperset(key):
+            raise SpecError(f"{what} key {text!r} is not a word over {sorted(symbols)}")
         table[key] = _literal(v)
     return table
 
@@ -162,9 +156,8 @@ def load_family(source) -> Family:
         max_degree = spec.get("max_degree")
         if max_degree is not None and (type(max_degree) is not int or max_degree < 0):
             raise SpecError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
-        symbols, words = set(left + right), {}
         def table(name):
-            return _parse_table(spec[name], f"pair {pair!r} {name}", symbols, words)
+            return _parse_table(spec[name], f"pair {pair!r} {name}", set(left + right))
         theta = table("theta_moments") if "theta_moments" in spec else None
         has_m, has_c = "moments" in spec, "cumulants" in spec
         if has_m == has_c:
@@ -177,4 +170,6 @@ def load_family(source) -> Family:
                 pair, left, right, max_degree, table("cumulants"), theta_table=theta)
 
     symbols = {letter.symbol for pure in pures.values() for letter in pure.letters}
-    return Family(pures, _parse_table(data.get("perturbations", {}), "perturbations", symbols, {}))
+    # joint() reads every delta, so the perturbations are converted here
+    perturbations = _parse_table(data.get("perturbations", {}), "perturbations", symbols)
+    return Family(pures, {key: Fraction(v) for key, v in perturbations.items()})

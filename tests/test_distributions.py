@@ -260,6 +260,8 @@ def test_load_family_perturbations():
     data = dict(SPEC)
     data["perturbations"] = {"x y": "1/5"}
     fam = load_family(data)
+    assert fam.perturbations == {("x", "y"): Fraction(1, 5)}
+    assert all(type(v) is Fraction for v in fam.perturbations.values())
     d = fam.joint()
     base = Fraction(1, 2)  # phi(x) * phi(y) with phi(y) = 1
     assert d.phi(fam.word("x y")) == base + Fraction(1, 5)
