@@ -224,7 +224,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (BiFreeError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a one-argument KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .errors import DomainError, SizeError
 
@@ -139,7 +140,8 @@ class LinearSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {key: Fraction(c) for key, c in (terms or {}).items() if c}
+        self.terms = {key: c if isinstance(c, Fraction) else Fraction(c)
+                      for key, c in (terms or {}).items() if c}
 
     @classmethod
     def word(cls, w: Word, coeff=1):
@@ -176,11 +178,22 @@ class LinearSum:
         return isinstance(other, LinearSum) and self.terms == other.terms
 
     def evaluate(self, f) -> Fraction:
-        """The linear extension of f: the sum of c * f(key) over the terms."""
-        total = Fraction(0)
+        """The linear extension of f: the sum of c * f(key) over the terms.
+
+        f is called once per term, in term order, and may return a Fraction
+        or an int.  The sum is kept as integers num/den over the lcm of the
+        denominators so far, and reduced once at the end.
+        """
+        num, den = 0, 1
         for key, c in self.terms.items():
-            total += c * f(key)
-        return total
+            v = f(key)
+            p = c.numerator * v.numerator
+            if p:
+                q = c.denominator * v.denominator
+                g = gcd(den, q)
+                num = num * (q // g) + p * (den // g)
+                den = den // g * q
+        return Fraction(num, den)
 
     def render(self) -> str:
         """For a tensor sum: one `±p/q · [left] ⊗ [right]` line per term, sorted."""
@@ -199,18 +212,26 @@ ScalarWordSum = TensorSum = LinearSum
 def shifted_product_expansion(w: Word, shifts) -> LinearSum:
     """Expansion of prod_i (z_i - c_i) as a word sum.
 
-    `shifts` maps 1-based position -> rational shift (missing = 0).  The
-    binomials are multiplied in one at a time, so the kept words share their
-    prefixes; a zero shift leaves only the branch that keeps its letter.
+    `shifts` maps 1-based position -> rational shift (missing = 0).  With
+    c_i = p_i/q_i the product is prod_i (q_i z_i - p_i) / Q, Q = prod_i q_i:
+    the binomials are multiplied in one at a time with integer coefficients,
+    so the kept words share their prefixes, and each final coefficient is
+    divided by Q once.  A zero shift leaves only the branch that keeps its
+    letter.
     """
-    terms = {(): Fraction(1)}
+    terms = {(): 1}
+    big_q = 1
     for i, letter in enumerate(w, 1):
-        c = -Fraction(shifts.get(i, 0))
+        c = shifts.get(i, 0)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        p, q = c.numerator, c.denominator
+        big_q *= q
         step = {}
         for kept, coeff in terms.items():
             longer = kept + (letter,)
-            step[longer] = step.get(longer, 0) + coeff
-            if c:
-                step[kept] = step.get(kept, 0) + c * coeff
+            step[longer] = step.get(longer, 0) + q * coeff
+            if p:
+                step[kept] = step.get(kept, 0) - p * coeff
         terms = step
-    return LinearSum(terms)
+    return LinearSum({key: Fraction(coeff, big_q) for key, coeff in terms.items() if coeff})

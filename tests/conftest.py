@@ -15,8 +15,11 @@ def rand_fraction(rng, lo=-4, hi=4, dmax=3):
 
 
 def random_moment_pure(pair, rng, max_degree=6, n_left=1, n_right=1,
-                       with_theta=False):
-    """A pure distribution with a complete random moment table up to max_degree."""
+                       with_theta=False, value=rand_fraction):
+    """A pure distribution with a complete random moment table up to max_degree.
+
+    value(rng) draws each table entry.
+    """
     left = tuple(f"{pair}l{k}" if n_left > 1 else f"{pair}l" for k in range(n_left))
     right = tuple(f"{pair}r{k}" if n_right > 1 else f"{pair}r" for k in range(n_right))
     syms = left + right
@@ -24,20 +27,21 @@ def random_moment_pure(pair, rng, max_degree=6, n_left=1, n_right=1,
     theta = {} if with_theta else None
     for n in range(1, max_degree + 1):
         for combo in itertools.product(syms, repeat=n):
-            table[combo] = rand_fraction(rng)
+            table[combo] = value(rng)
             if with_theta:
-                theta[combo] = rand_fraction(rng)
+                theta[combo] = value(rng)
     return MomentTablePure(pair, left, right, max_degree, table, theta_table=theta)
 
 
 def random_family(rng, pairs=("a", "b"), max_degree=6, with_theta=False,
-                  extra_left=()):
+                  extra_left=(), value=rand_fraction):
     """Pure tables for the given pair ids; extra_left pairs get 2 left generators."""
     pures = {}
     for pair in pairs:
         n_left = 2 if pair in extra_left else 1
         pures[pair] = random_moment_pure(pair, rng, max_degree=max_degree,
-                                         n_left=n_left, with_theta=with_theta)
+                                         n_left=n_left, with_theta=with_theta,
+                                         value=value)
     return pures
 
 

@@ -268,6 +268,12 @@ def test_bad_input_is_a_typed_error(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_unknown_symbol_prints_its_message_unquoted(capsys):
+    # Family.word raises a KeyError, whose str() would wrap the message in quotes
+    assert run(capsys, "moment", "--spec", TWO_PAIRS, "--word", "al zz") == (
+        2, "", "error: unknown symbol 'zz'\n")
+
+
 @NEEDS_DIGIT_LIMIT
 def test_ubm_past_the_digit_limit_names_n_and_the_limit(capsys):
     limit = sys.get_int_max_str_digits()

@@ -137,6 +137,24 @@ def test_reconstruction_matches_product():
         assert vaccine_reconstruct_moment(pures, w, seed=1, cache=cache) == d.phi(w)
 
 
+def rand_30_digit(rng):
+    """A rational whose numerator and denominator are drawn with 30 digits."""
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(10 ** 29, 10 ** 30),
+                    rng.randrange(10 ** 29, 10 ** 30))
+
+
+def test_reconstruction_with_30_digit_rationals():
+    # the integer kernel of the expansions carries numerators and common
+    # denominators far past machine words
+    rng = random.Random(12)
+    pures = random_family(rng, max_degree=4, value=rand_30_digit)
+    d = BifreeProduct(pures)
+    for seed in (0, 1, 2):
+        cache = {}
+        for w in words_up_to(d.letters, 4, mixed_only=True):
+            assert vaccine_reconstruct_moment(pures, w, seed=seed, cache=cache) == d.phi(w)
+
+
 def test_reconstruction_seed_independent():
     rng = random.Random(7)
     pures = random_family(rng, max_degree=5)

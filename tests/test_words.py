@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifree import (
+    InsufficientDataError,
     Letter,
     ScalarWordSum,
     canonical_word,
@@ -108,6 +109,9 @@ def test_scalar_word_sum():
     t = ScalarWordSum.word((YR,), 3) + ScalarWordSum.word((YR,), -1)
     assert t.terms == {(YR,): Fraction(2)}
     assert t.scaled(0).terms == {}
+    # a Fraction coefficient is kept as it is, not wrapped again
+    half = Fraction(1, 2)
+    assert ScalarWordSum({(XL,): half}).terms[(XL,)] is half
 
 
 def test_shifted_product_expansion():
@@ -147,15 +151,66 @@ def _subset_expansion(w, shifts):
     return out
 
 
+BIG = 10 ** 30
+# denominators that are small, share prime factors, or run to 30 digits, so
+# common denominators both collapse and grow
+denominators = st.one_of(st.integers(1, 12),
+                         st.builds(lambda a, b: 2 ** a * 3 ** b, st.integers(0, 60), st.integers(0, 40)),
+                         st.integers(1, BIG))
+big_fractions = st.builds(Fraction, st.integers(-BIG, BIG), denominators)
+
 # few letters, so words repeat letters and some subsets share their kept word
-shift_values = st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+shift_values = st.one_of(st.just(0), st.integers(-5, 5),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4), big_fractions)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from((XL, YR, ZL)), max_size=7).map(tuple),
        st.dictionaries(st.integers(1, 7), shift_values))
 def test_shifted_product_expansion_matches_subset_sum(w, shifts):
-    assert shifted_product_expansion(w, shifts) == _subset_expansion(w, shifts)
+    s = shifted_product_expansion(w, shifts)
+    assert s == _subset_expansion(w, shifts)
+    assert all(type(c) is Fraction for c in s.terms.values())
+
+
+# sums with negative and 30-digit coefficients, and what a moment oracle may
+# return for a key: a Fraction, an int or 0
+word_sums = st.dictionaries(st.lists(st.sampled_from(ALPHABET), max_size=4).map(tuple),
+                            big_fractions.filter(bool), max_size=12).map(ScalarWordSum)
+oracle_values = st.one_of(st.just(0), st.integers(-BIG, BIG), big_fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_sums, st.data())
+def test_evaluate_is_the_fraction_sum_read_once_in_term_order(s, data):
+    table = {key: data.draw(oracle_values) for key in s.terms}
+    reads = []
+
+    def f(key):
+        reads.append(key)
+        return table[key]
+
+    value = s.evaluate(f)
+    assert value == sum((c * table[k] for k, c in s.items()), Fraction(0))
+    assert type(value) is Fraction
+    assert reads == list(s.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_sums.filter(lambda s: not s.is_zero()), st.data())
+def test_evaluate_stops_at_the_first_missing_entry(s, data):
+    k = data.draw(st.integers(1, len(s.terms)))
+    reads = []
+
+    def f(key):
+        reads.append(key)
+        if len(reads) == k:
+            raise InsufficientDataError(word_text(key))
+        return Fraction(1)
+
+    with pytest.raises(InsufficientDataError):
+        s.evaluate(f)
+    assert reads == list(s.terms)[:k]
 
 
 def test_shifted_product_expansion_cancels_repeated_letters():
