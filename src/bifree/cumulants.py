@@ -87,23 +87,29 @@ def phi_pi(d, p: BncPartition, w) -> Fraction:
     return prod
 
 
-def kappa_from_phi(phi, w, memo=None) -> Fraction:
-    """Bi-free cumulant of w by the subtraction recursion.
+def _subtraction(value, w, memo, inner=None) -> Fraction:
+    """x(w) = value(w) - sum over non-full pi in BNC(chi) of block weight products.
 
-    kappa(w) = phi(w) - sum over non-full pi in BNC(chi) of the product of
-    block cumulants.
+    Every block weighs x; with inner given, inner blocks weigh inner and outer
+    blocks x.  value(w) is read before the sum, and memo holds x.
     """
     if len(w) == 0:
         raise ValueError("cumulants are defined for words of length >= 1")
     if memo is None:
         memo = {}
 
-    def k(word):
+    def x(word):
         if word not in memo:
-            memo[word] = phi(word) - _nc_sum(word, k, skip_full=True)
+            memo[word] = value(word) - _nc_sum(word, weight, top_weight=top, skip_full=True)
         return memo[word]
 
-    return k(w)
+    weight, top = (x, None) if inner is None else (inner, x)
+    return x(w)
+
+
+def kappa_from_phi(phi, w, memo=None) -> Fraction:
+    """Bi-free cumulant of w: the subtraction from phi(w) of block cumulant products."""
+    return _subtraction(phi, w, memo)
 
 
 def kappa(d, w) -> Fraction:
@@ -148,23 +154,9 @@ def bifree_product_moment(pures, w) -> Fraction:
 
 
 def conditional_kappa_from(theta, kappa_fn, w, memo=None) -> Fraction:
-    """Conditional cumulant by the subtraction recursion.
-
-    theta(w) = sum over pi of (product of kappa over inner blocks) times
-    (product of conditional cumulants over outer blocks); invert for the
-    full partition's term.
-    """
-    if len(w) == 0:
-        raise ValueError("conditional cumulants are defined for length >= 1")
-    if memo is None:
-        memo = {}
-
-    def ck(word):
-        if word not in memo:
-            memo[word] = theta(word) - _nc_sum(word, kappa_fn, top_weight=ck, skip_full=True)
-        return memo[word]
-
-    return ck(w)
+    """Conditional cumulant of w: the subtraction from theta(w), with kappa_fn on
+    inner blocks and conditional cumulants on outer blocks."""
+    return _subtraction(theta, w, memo, kappa_fn)
 
 
 def conditional_kappa(d, w) -> Fraction:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import cumulants
-from .errors import InsufficientDataError, ModeError
+from .errors import DomainError, InsufficientDataError, ModeError
 from .words import Letter, ScalarWordSum, canonical_word, word_text
 
 
@@ -57,8 +57,9 @@ class PureDistribution:
 
     def _lookup(self, table, w):
         """The entry of a symbol-keyed table for w; a missing one is an error."""
+        self._check_degree(w)
         key = tuple(letter.symbol for letter in w)
-        if key in table and (self.max_degree is None or len(w) <= self.max_degree):
+        if key in table:
             return _read(table, key)
         raise InsufficientDataError(word_text(w))
 
@@ -82,9 +83,6 @@ class PureDistribution:
 
     def _raw_cumulant(self, w):
         return cumulants.kappa_from_phi(self.moment, w, self._cumulant_memo)
-
-    def has_theta(self):
-        return self.theta_table is not None
 
     def theta(self, w) -> Fraction:
         if self.theta_table is None:
@@ -137,20 +135,18 @@ class CallablePure(PureDistribution):
 
 
 def builtin_semicircular_pair(pair, cov) -> PureDistribution:
-    """A semicircular pair: second-order cumulants per `cov`, all others zero.
+    """A semicircular pair: a cumulant table with second-order cumulants per `cov`.
 
-    `cov` maps the unordered side pattern "ll" / "lr" / "rr" to a rational.
+    `cov` maps the unordered side pattern "ll" / "lr" / "rr" to a rational;
+    a pattern it leaves out is 0, and both mixed orders read "lr".
     """
     cov = {k: Fraction(v) for k, v in cov.items()}
-
-    class _Semicircular(PureDistribution):
-        def _raw_cumulant(self, w):
-            if len(w) != 2:
-                return Fraction(0)
-            pattern = "".join(sorted(letter.side for letter in w))
-            return cov.get(pattern, Fraction(0))
-
-    return _Semicircular(pair, left_symbols=(f"s_{pair}_l",), right_symbols=(f"s_{pair}_r",))
+    if not set(cov) <= {"ll", "lr", "rr"}:
+        raise DomainError(f"semicircular cov keys are 'll', 'lr' and 'rr', got {sorted(cov)}")
+    sl, sr = f"s_{pair}_l", f"s_{pair}_r"
+    sides = {(sl, sl): "ll", (sl, sr): "lr", (sr, sl): "lr", (sr, sr): "rr"}
+    table = {key: cov[k] for key, k in sides.items() if k in cov}
+    return CumulantTablePure(pair, (sl,), (sr,), None, table)
 
 
 def builtin_haar_pair(pair, symbols=None) -> PureDistribution:
@@ -203,7 +199,7 @@ class BifreeProduct(JointDistribution):
         self.pures = dict(pures)
         self._phi_memo = {}
         self._theta_memo = {}
-        if all(p.has_theta() for p in self.pures.values()) and self.pures:
+        if all(p.theta_table is not None for p in self.pures.values()) and self.pures:
             self.theta = self._theta
 
     @property
@@ -228,12 +224,8 @@ class TableJoint(JointDistribution):
 
     def __init__(self, letters, table):
         super().__init__()
-        self._letters = tuple(letters)
+        self.letters = tuple(letters)
         self.table = {canonical_word(k): Fraction(v) for k, v in table.items()}
-
-    @property
-    def letters(self):
-        return self._letters
 
     def phi(self, w) -> Fraction:
         if len(w) == 0:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .bnc import s_chi_permutation
 from .distributions import BifreeProduct, builtin_semicircular_pair
 from .errors import DomainError, ModeError
-from .words import ScanVerdict, TensorSum, chi_of, scan, subword
+from .words import Letter, ScanVerdict, TensorSum, chi_of, scan, subword
 
 
 def taur(w, iota) -> TensorSum:
@@ -204,10 +204,6 @@ def ubm_eval(n: int, t: float) -> float:
     return ubm_moment(n).eval(t)
 
 
-def _psi(side, alpha) -> int:
-    return alpha if side == "l" else -alpha
-
-
 def _fresh_pair_id(pures):
     pid = "sem"
     while pid in pures:
@@ -226,37 +222,26 @@ class ReplacementContext:
         self.pures = dict(pures)
         self.sem = builtin_semicircular_pair(
             _fresh_pair_id(pures), {"ll": 1, "lr": 1, "rr": 1})
-        family = dict(pures)
-        family[self.sem.pair] = self.sem
-        self.extended = BifreeProduct(family)
+        self.extended = BifreeProduct({**pures, self.sem.pair: self.sem})
         self.s_letter = {letter.side: letter for letter in self.sem.letters}
 
 
 def _expand_tokens(ctx: ReplacementContext, tokens):
     """First-order expansion of a product of letters and unitary factors.
 
-    Tokens are ("letter", Letter) or ("u", side, alpha).  Each unitary factor
+    A token is a Letter or a unitary factor (side, psi) with psi = +-1, which
     stands for (1 - t/2) + i*psi*sqrt(t)*S_side with the context's all-ones
     semicircular pair; odd powers of sqrt(t) vanish by the sign-flip
     symmetry, so only single -t/2 picks and paired S picks reach order t.
     The i*i = -1 of a paired pick folds into the coefficient.
     """
-    base = tuple(t[1] for t in tokens if t[0] == "letter")
-    c0 = ctx.extended.phi(base)
-
-    us = [k for k, t in enumerate(tokens) if t[0] == "u"]
+    c0 = ctx.extended.phi(tuple(t for t in tokens if isinstance(t, Letter)))
+    us = [k for k, t in enumerate(tokens) if not isinstance(t, Letter)]
     c1 = Fraction(-len(us), 2) * c0
-    for a in range(len(us)):
-        for b in range(a + 1, len(us)):
-            p, q = us[a], us[b]
-            word = []
-            for k, t in enumerate(tokens):
-                if t[0] == "letter":
-                    word.append(t[1])
-                elif k in (p, q):
-                    word.append(ctx.s_letter[t[1]])
-            coeff = -_psi(tokens[p][1], tokens[p][2]) * _psi(tokens[q][1], tokens[q][2])
-            c1 += coeff * ctx.extended.phi(tuple(word))
+    for p, q in combinations(us, 2):
+        word = tuple(ctx.s_letter[t[0]] if k in (p, q) else t
+                     for k, t in enumerate(tokens) if k in (p, q) or isinstance(t, Letter))
+        c1 -= tokens[p][1] * tokens[q][1] * ctx.extended.phi(word)
     return c0, c1
 
 
@@ -264,7 +249,8 @@ def replacement_expand(pures, w, iota, ctx=None):
     """Order-t expansion of the word with each iota-letter unitarily conjugated.
 
     Every iota-colored letter x becomes U_side x U_side^*; the unitaries are
-    rewritten by the first-order replacement and the product expanded.
+    rewritten by the first-order replacement and the product expanded.  U_l
+    and U_r^* carry psi = +1, U_l^* and U_r psi = -1.
     Returns the exact (constant, linear) coefficients in t.
     """
     if ctx is None:
@@ -272,17 +258,16 @@ def replacement_expand(pures, w, iota, ctx=None):
     tokens = []
     for letter in w:
         if letter.pair == iota:
-            tokens.append(("u", letter.side, 1))
-            tokens.append(("letter", letter))
-            tokens.append(("u", letter.side, -1))
+            psi = 1 if letter.side == "l" else -1
+            tokens += [(letter.side, psi), letter, (letter.side, -psi)]
         else:
-            tokens.append(("letter", letter))
+            tokens.append(letter)
     return _expand_tokens(ctx, tokens)
 
 
 def ubm_power_expansion(m: int):
     """Replacement expansion of a bare same-side unitary power U^m (no letters)."""
-    return _expand_tokens(ReplacementContext({}), [("u", "l", 1)] * m)
+    return _expand_tokens(ReplacementContext({}), [("l", 1)] * m)
 
 
 def liberation_test(d, iota, max_len) -> ScanVerdict:

@@ -52,6 +52,10 @@ def test_kappa_short_words():
     assert kappa_via_mobius(d, (x, y)) == kappa(d, (x, y))
     with pytest.raises(ValueError):
         kappa(d, ())
+    # plain callables: no ModeError (also a ValueError) can stand in for it
+    with pytest.raises(ValueError) as err:
+        conditional_kappa_from(lambda w: Fraction(1), lambda w: Fraction(0), ())
+    assert type(err.value) is ValueError
 
 
 def test_semicircular_fourth_cumulant_vanishes():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bifree import (
     BiFreeError,
     BifreeProduct,
+    DomainError,
     InsufficientDataError,
     Letter,
     PerturbedJoint,
@@ -40,6 +41,28 @@ def test_semicircular_pair():
     al, ar = asym.letters
     assert asym.moment((al, al)) == 2
     assert asym.moment((ar, ar)) == 0
+    # three distinct covariances: a mixed order read off the wrong key shows
+    dist = builtin_semicircular_pair("c", {"ll": 2, "lr": 3, "rr": 5})
+    cl, cr = dist.letters
+    assert dist.cumulant((cl, cr)) == dist.cumulant((cr, cl)) == 3
+    assert dist.cumulant((cl, cl)) == 2
+    assert dist.cumulant((cr, cr)) == 5
+    for w in [(cl,), (cr,)] + list(itertools.product((cl, cr), repeat=3)):
+        assert dist.cumulant(w) == 0
+    assert dist.moment((cl, cr, cl, cr)) == 2 * 5 + 3 ** 2
+
+
+@pytest.mark.parametrize("key", ["rl", "LR", "lrr", ""])
+def test_semicircular_pair_refuses_unknown_cov_keys(key):
+    with pytest.raises(DomainError, match="'ll', 'lr' and 'rr'"):
+        builtin_semicircular_pair("p", {"ll": 1, key: 1})
+
+
+def test_semicircular_pair_converts_cov_when_built():
+    with pytest.raises(ValueError):
+        builtin_semicircular_pair("p", {"lr": "one"})
+    assert builtin_semicircular_pair("p", {"lr": "1/3", "rr": 0.5}).table[
+        ("s_p_l", "s_p_r")] == Fraction(1, 3)
 
 
 def test_haar_pair():
