@@ -19,7 +19,7 @@ from .bnc import (
     maximal_mono_intervals,
 )
 from .cumulants import cumulant_test
-from .errors import BiFreeError, DomainError, ModeError, SizeError
+from .errors import BiFreeError, DomainError, SizeError
 from .liberation import (
     eval_tensor,
     liberation_test,
@@ -37,10 +37,25 @@ from .vaccine import vaccine_reconstruct_moment, vaccine_test
 # `ubm --n` above this exits 2 before any work; `ubm --n 3000 --t 1` takes
 # about 2 s, and the time grows about as n^3 (n = 10,000 took 69 s)
 UBM_MAX_N = 3000
+# `--word` above this many letters exits 2 before any work.  From the command
+# line, 976 letters already end in a RecursionError in `moment` (all three
+# modes) and `liberate`; a caller that runs main() from a deeper stack fails
+# sooner, so the limit keeps half the recursion limit spare.  Words this long
+# are far out of reach in time anyway: `moment` on 20 letters of one pair
+# takes about 10 s, and two more letters take about four times as long.
+WORD_MAX_LEN = 500
 
 
 def _parse_eps(text: str) -> tuple:
     return tuple(tok.strip() for tok in text.split(","))
+
+
+def _word(fam, text):
+    """The --word argument parsed against the spec, at most WORD_MAX_LEN letters."""
+    w = fam.word(text)
+    if len(w) > WORD_MAX_LEN:
+        raise SizeError(f"--word must have at most {WORD_MAX_LEN} letters, got {len(w)}")
+    return w
 
 
 def _pair(fam, pair):
@@ -76,16 +91,13 @@ def cmd_bnc(args) -> int:
 
 def cmd_moment(args) -> int:
     fam = load_family(args.spec)
-    w = fam.word(args.word)
+    w = _word(fam, args.word)
     if args.mode == "bifree":
         print(fam.joint().phi(w))
     elif args.mode == "vaccine":
         print(vaccine_reconstruct_moment(fam.pures, w, seed=args.seed))
     else:
-        theta = fam.joint().theta
-        if theta is None:
-            raise ModeError("--mode conditional needs theta_moments for every pair")
-        print(theta(w))
+        print(fam.joint().theta(w))
     return 0
 
 
@@ -125,13 +137,13 @@ def cmd_ubm(args) -> int:
 
 def cmd_taur(args) -> int:
     fam = load_family(args.spec)
-    print(taur(fam.word(args.word), _pair(fam, args.pair)).render())
+    print(taur(_word(fam, args.word), _pair(fam, args.pair)).render())
     return 0
 
 
 def cmd_liberate(args) -> int:
     fam = load_family(args.spec)
-    w = fam.word(args.word)
+    w = _word(fam, args.word)
     pair = _pair(fam, args.pair)
     joint = fam.joint()
     c0, c1 = replacement_expand(fam.pures, w, pair)
@@ -197,17 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser):
-    if getattr(args, "command", None) == "bnc":
+    if args.command == "bnc":
         if args.action == "intervals" and not args.eps:
             parser.error("bnc intervals requires --eps")
         if args.action in ("check", "blocks") and not args.pi:
             parser.error(f"bnc {args.action} requires --pi")
         if args.action == "mobius" and not (args.lower and args.upper):
             parser.error("bnc mobius requires --lower and --upper")
-    if getattr(args, "command", None) == "moment":
+    if args.command == "moment":
         if args.mode == "vaccine" and args.seed is None:
             parser.error("--mode vaccine requires --seed")
-    if getattr(args, "command", None) == "check":
+    if args.command == "check":
         if args.method == "vaccine" and args.seed is None:
             parser.error("--method vaccine requires --seed")
         if args.method in ("taur", "liberation") and not args.pair:

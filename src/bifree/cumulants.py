@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bnc import BncPartition, _mobius, _nc_fold, enumerate_bnc, s_chi_permutation
-from .errors import InsufficientDataError, ModeError, SizeError
+from .errors import InsufficientDataError, SizeError
 from .partitions import SetPartition
 from .words import ScanVerdict, chi_of, scan, subword
 
@@ -161,10 +161,7 @@ def conditional_kappa_from(theta, kappa_fn, w, memo=None) -> Fraction:
 
 def conditional_kappa(d, w) -> Fraction:
     """Mixed conditional cumulant of w under a joint distribution with a theta layer."""
-    theta = getattr(d, "theta", None)
-    if theta is None:
-        raise ModeError("distribution has no theta layer")
-    return conditional_kappa_from(theta, lambda word: kappa(d, word), w, d._ckappa_memo)
+    return conditional_kappa_from(d.theta, lambda word: kappa(d, word), w, d._ckappa_memo)
 
 
 def conditional_product_theta(pures, w) -> Fraction:

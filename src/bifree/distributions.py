@@ -13,11 +13,6 @@ from .errors import DomainError, InsufficientDataError, ModeError
 from .words import Letter, ScalarWordSum, canonical_word, word_text
 
 
-def _exact_table(table):
-    """A copy of table with tuple keys; _read makes each value a Fraction on its first read."""
-    return {tuple(k): v for k, v in table.items()}
-
-
 def _read(table, key):
     """table[key] as a Fraction, converted on its first read and stored back.
 
@@ -40,16 +35,12 @@ class PureDistribution:
         self.right_symbols = tuple(right_symbols)
         self.max_degree = max_degree
         self.theta_table = dict(theta_table) if theta_table is not None else None
+        self.letters = tuple(
+            [Letter(s, pair, "l") for s in self.left_symbols]
+            + [Letter(s, pair, "r") for s in self.right_symbols])
         self._moment_memo = {}
         self._cumulant_memo = {}
         self._ckappa_memo = {}
-
-    @property
-    def letters(self):
-        return tuple(
-            [Letter(s, self.pair, "l") for s in self.left_symbols]
-            + [Letter(s, self.pair, "r") for s in self.right_symbols]
-        )
 
     def _check_degree(self, w):
         if self.max_degree is not None and len(w) > self.max_degree:
@@ -102,7 +93,7 @@ class MomentTablePure(PureDistribution):
     def __init__(self, pair, left_symbols, right_symbols, max_degree, moments,
                  theta_table=None):
         super().__init__(pair, left_symbols, right_symbols, max_degree, theta_table)
-        self.table = _exact_table(moments)
+        self.table = dict(moments)
 
     def _raw_moment(self, w):
         return self._lookup(self.table, w)
@@ -114,7 +105,7 @@ class CumulantTablePure(PureDistribution):
     def __init__(self, pair, left_symbols, right_symbols, max_degree, cumulants_table,
                  theta_table=None):
         super().__init__(pair, left_symbols, right_symbols, max_degree, theta_table)
-        self.table = _exact_table(cumulants_table)
+        self.table = dict(cumulants_table)
 
     def _raw_cumulant(self, w):
         key = tuple(letter.symbol for letter in w)
@@ -149,15 +140,13 @@ def builtin_semicircular_pair(pair, cov) -> PureDistribution:
     return CumulantTablePure(pair, (sl,), (sr,), None, table)
 
 
-def builtin_haar_pair(pair, symbols=None) -> PureDistribution:
+def builtin_haar_pair(pair) -> PureDistribution:
     """A Haar *-pair (u_l, u_l*, u_r, u_r*): phi = 1 iff net left power = net right power.
 
     Within the pair all four symbols commute and the starred symbols invert
     the unstarred ones, so every word reduces to u_l^j u_r^k.
     """
-    if symbols is None:
-        symbols = (f"ul_{pair}", f"ul*_{pair}", f"ur_{pair}", f"ur*_{pair}")
-    ul, uls, ur, urs = symbols
+    ul, uls, ur, urs = f"ul_{pair}", f"ul*_{pair}", f"ur_{pair}", f"ur*_{pair}"
     powers = {ul: (1, 0), uls: (-1, 0), ur: (0, 1), urs: (0, -1)}
 
     def moment_fn(syms):
@@ -170,21 +159,23 @@ def builtin_haar_pair(pair, symbols=None) -> PureDistribution:
 
 
 class JointDistribution:
-    """Base joint moment oracle: subclasses provide phi (and optionally theta).
+    """Base joint moment oracle: subclasses provide phi, and theta where a
+    theta layer exists.
 
     It owns the memos of `cumulants.kappa` and `cumulants.conditional_kappa`.
     """
 
-    letters = ()
-
     def __init__(self):
+        self.letters = ()
+        self.pures = {}
         self._kappa_memo = {}
         self._ckappa_memo = {}
 
     def phi(self, w) -> Fraction:
         raise NotImplementedError
 
-    theta = None  # overridden where a theta layer exists
+    def theta(self, w) -> Fraction:
+        raise ModeError(f"{type(self).__name__} has no theta layer")
 
     @property
     def pairs(self):
@@ -197,14 +188,9 @@ class BifreeProduct(JointDistribution):
     def __init__(self, pures):
         super().__init__()
         self.pures = dict(pures)
+        self.letters = tuple(l for p in self.pures.values() for l in p.letters)
         self._phi_memo = {}
         self._theta_memo = {}
-        if all(p.theta_table is not None for p in self.pures.values()) and self.pures:
-            self.theta = self._theta
-
-    @property
-    def letters(self):
-        return tuple(l for p in self.pures.values() for l in p.letters)
 
     def phi(self, w) -> Fraction:
         key = canonical_word(w)
@@ -212,9 +198,15 @@ class BifreeProduct(JointDistribution):
             self._phi_memo[key] = cumulants.bifree_product_moment(self.pures, key)
         return self._phi_memo[key]
 
-    def _theta(self, w) -> Fraction:
+    def theta(self, w) -> Fraction:
+        """The theta-moment of w; every pair must have a theta layer, and a
+        product of no pairs has none."""
         key = canonical_word(w)
         if key not in self._theta_memo:
+            if not self.pures:
+                raise ModeError("a product of no pairs has no theta layer")
+            for pure in self.pures.values():
+                pure.theta(())  # ModeError naming the pair if it has no theta layer
             self._theta_memo[key] = cumulants.conditional_product_theta(self.pures, key)
         return self._theta_memo[key]
 
@@ -244,19 +236,14 @@ class PerturbedJoint(JointDistribution):
         super().__init__()
         self.base = base
         self.deltas = {canonical_word(k): Fraction(v) for k, v in deltas.items()}
-        if base.theta is not None:
-            self.theta = base.theta
-
-    @property
-    def letters(self):
-        return self.base.letters
-
-    @property
-    def pures(self):
-        return getattr(self.base, "pures", {})
+        self.letters = base.letters
+        self.pures = base.pures
 
     def phi(self, w) -> Fraction:
         return self.base.phi(w) + self.deltas.get(canonical_word(w), Fraction(0))
+
+    def theta(self, w) -> Fraction:
+        return self.base.theta(w)
 
 
 def evaluate(d, s: ScalarWordSum) -> Fraction:
@@ -265,6 +252,5 @@ def evaluate(d, s: ScalarWordSum) -> Fraction:
 
 
 def evaluate_theta(d, s: ScalarWordSum) -> Fraction:
-    if d.theta is None:
-        raise ModeError("distribution has no theta layer")
+    """Linear extension of the theta layer to word sums."""
     return s.evaluate(d.theta)

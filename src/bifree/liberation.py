@@ -278,7 +278,7 @@ def liberation_test(d, iota, max_len) -> ScanVerdict:
     that is not built on pure distributions raises ModeError.
     """
     _require_pair(d, iota)
-    if not getattr(d, "pures", None):
+    if not d.pures:
         raise ModeError("liberation_test needs a joint built on pure distributions")
     ctx = ReplacementContext(d.pures)
     def failure(w):

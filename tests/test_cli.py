@@ -16,7 +16,7 @@ from bifree import (
     load_family,
     ubm_eval,
 )
-from bifree.cli import UBM_MAX_N, build_parser, main
+from bifree.cli import UBM_MAX_N, WORD_MAX_LEN, build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -28,6 +28,7 @@ ONE_PAIR = os.path.join(DATA, "one_pair.json")
 MULTI_GEN = os.path.join(DATA, "multi_gen.json")
 GOLDEN = os.path.join(DATA, "cli_golden.jsonl")
 GOLDEN_SPECS = ("conditional", "perturbed", "sec4", "two_pairs")
+LONG_AL = " ".join(["al"] * 1200)
 
 CHI8 = "rlllrrlr"
 # Python 3.10.0-3.10.6 print integers of any length; elsewhere 0 lifts the limit.
@@ -254,18 +255,42 @@ def test_check_scans_every_generator(capsys):
     pytest.param(("ubm", "--n", "1800"), marks=NEEDS_DIGIT_LIMIT),
     ("ubm", "--n", str(UBM_MAX_N + 1), "--t", "1"),
     ("ubm", "--n", "100000000"),
+    # 1,200 letters used to end in a RecursionError traceback and exit 1
+    ("moment", "--spec", TWO_PAIRS, "--word", LONG_AL),
+    ("moment", "--spec", SEC4, "--word", " ".join(["x"] * 1200)),
+    ("moment", "--spec", TWO_PAIRS, "--mode", "vaccine", "--seed", "1", "--word", LONG_AL),
+    ("moment", "--spec", CONDITIONAL, "--mode", "conditional", "--word", LONG_AL),
+    ("liberate", "--spec", TWO_PAIRS, "--pair", "a", "--word", LONG_AL),
+    # one letter of pair b keeps the tensor map short
+    ("taur", "--spec", TWO_PAIRS, "--pair", "b", "--word", LONG_AL + " bl"),
 ], ids=["conditional-without-theta", "max-len-negative", "max-len-zero",
         "trials-negative", "cumulants-max-len-9", "liberation-max-len-9",
         "cumulants-max-len-1", "liberation-max-len-1", "vaccine-max-len-1",
         "cumulants-one-pair", "liberation-one-pair", "vaccine-one-pair",
         "taur-unknown-pair", "liberation-unknown-pair", "liberate-unknown-pair",
         "taur-command-unknown-pair", "ubm-t-nan", "ubm-t-inf", "ubm-past-digit-limit",
-        "ubm-n-past-size-limit", "ubm-n-huge"])
+        "ubm-n-past-size-limit", "ubm-n-huge", "moment-long-word", "moment-sec4-long-word",
+        "vaccine-long-word", "conditional-long-word", "liberate-long-word",
+        "taur-long-word"])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_word_of_the_size_limit_is_taken(capsys):
+    # one letter of pair b keeps the tensor map short
+    word = " ".join(["al"] * (WORD_MAX_LEN - 1) + ["bl"])
+    code, out, _ = run(capsys, "taur", "--spec", TWO_PAIRS, "--pair", "b", "--word", word)
+    assert code == 0 and out.endswith("bl] ⊗ [1]\n")
+    assert run(capsys, "taur", "--spec", TWO_PAIRS, "--pair", "b", "--word", "al " + word) == (
+        2, "", f"error: --word must have at most {WORD_MAX_LEN} letters, got {WORD_MAX_LEN + 1}\n")
+
+
+def test_conditional_without_theta_names_the_pair(capsys):
+    assert run(capsys, "moment", "--spec", TWO_PAIRS, "--mode", "conditional",
+               "--word", "al bl") == (2, "", "error: pair 'a' has no theta layer\n")
 
 
 def test_unknown_symbol_prints_its_message_unquoted(capsys):

@@ -15,6 +15,7 @@ from bifree import (
     DomainError,
     InsufficientDataError,
     Letter,
+    ModeError,
     PerturbedJoint,
     ScalarWordSum,
     SpecError,
@@ -24,9 +25,10 @@ from bifree import (
     evaluate_theta,
     load_family,
     parse_rational,
+    words_up_to,
 )
 
-from conftest import random_family, random_table_joint
+from conftest import random_family, random_moment_pure, random_table_joint
 
 
 def test_semicircular_pair():
@@ -296,8 +298,34 @@ def test_theta_layer_via_spec():
                                           "x xr": 0, "xr x": 0, "xr xr": 1,
                                           "x x x": 0, "x x xr": 0, "x xr x": 0,
                                           "x xr xr": 0, "xr x x": 0, "xr x xr": 0,
-                                          "xr xr x": 0, "xr xr xr": 0})]}
+                                          "xr xr x": 0, "xr xr xr": 0})],
+            "perturbations": {"x xr": "1/5"}}
     fam = load_family(data)
     d = fam.joint()
-    assert d.theta is not None
     assert evaluate_theta(d, ScalarWordSum.word(fam.word("x x"), 1)) == 1
+    # a perturbed joint shifts phi and reads theta from its base
+    base = BifreeProduct(fam.pures)
+    assert isinstance(d, PerturbedJoint)
+    assert d.phi(fam.word("x xr")) == base.phi(fam.word("x xr")) + Fraction(1, 5)
+    for w in [(), *words_up_to(d.letters, 3)]:
+        assert d.theta(w) == base.theta(w)
+
+
+def test_theta_without_a_layer_is_a_mode_error():
+    rng = random.Random(11)
+    a = random_moment_pure("a", rng, max_degree=2, with_theta=True)
+    b = random_moment_pure("b", rng, max_degree=2)
+    table = random_table_joint(a.letters + b.letters, rng, max_len=2)
+    with pytest.raises(ModeError, match="TableJoint has no theta layer"):
+        table.theta(a.letters[:1])
+    with pytest.raises(ModeError):
+        evaluate_theta(table, ScalarWordSum.word((), 1))
+    # a product refuses every word, even one of a pair with the layer, and ()
+    product = BifreeProduct({"a": a, "b": b})
+    perturbed = PerturbedJoint(product, {a.letters[:1]: 1})
+    for d in (product, perturbed):
+        for w in (a.letters[:1], a.letters, ()):
+            with pytest.raises(ModeError, match="pair 'b' has no theta layer"):
+                d.theta(w)
+    with pytest.raises(ModeError, match="no pairs"):
+        BifreeProduct({}).theta(())
