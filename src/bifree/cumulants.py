@@ -91,7 +91,8 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
     """x(w) = value(w) - sum over non-full pi in BNC(chi) of block weight products.
 
     Every block weighs x; with inner given, inner blocks weigh inner and outer
-    blocks x.  value(w) is read before the sum, and memo holds x.
+    blocks x.  value(w) is read before the sum, and memo holds x.  A one-letter
+    word has no non-full partition, so there x is value alone.
     """
     if len(w) == 0:
         raise ValueError("cumulants are defined for words of length >= 1")
@@ -100,7 +101,9 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
 
     def x(word):
         if word not in memo:
-            memo[word] = value(word) - _nc_sum(word, weight, top_weight=top, skip_full=True)
+            v = value(word)
+            memo[word] = (Fraction(v) if len(word) == 1 else
+                          v - _nc_sum(word, weight, top_weight=top, skip_full=True))
         return memo[word]
 
     weight, top = (x, None) if inner is None else (inner, x)

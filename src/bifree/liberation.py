@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .bnc import s_chi_permutation
 from .distributions import BifreeProduct, builtin_semicircular_pair
@@ -22,17 +22,23 @@ def taur(w, iota) -> TensorSum:
 
     For each pair i chi-before-or-equal j of iota-colored positions, the
     closed / half-open / open chi-intervals contribute +, -, -, + copies of
-    (complement subword) tensor (interval subword).  With a, b the chi-ranks
-    of i, j, each interval is the slice order[lo:hi] of the chi-order.
+    (complement subword) tensor (interval subword).  Each interval is a slice
+    order[lo:hi] of the chi-order, and the four terms are summed in closed
+    form.  With r(k) = 1 when the letter of chi-rank k has pair iota and
+    r(-1) = r(n) = 0, a nonempty slice has coefficient
+    (r(lo) - r(lo-1)) * (r(hi-1) - r(hi)), and w tensor () has minus the
+    number of maximal iota runs of the chi-order.  So only the run
+    boundaries contribute: one run gives two terms.
     """
     out = TensorSum()
     order = s_chi_permutation(chi_of(w)) if w else ()
-    ranks = [k for k, i in enumerate(order) if w[i - 1].pair == iota]
-    for a, b in combinations_with_replacement(ranks, 2):
-        for lo, hi, sign in ((a, b + 1, 1), (a, b, -1), (a + 1, b + 1, -1), (a + 1, b, 1)):
-            # the open interval (i, i) is empty: lo > hi, and the complement is everything
-            out.add((subword(w, order[:lo] + order[max(lo, hi):]),
-                     subword(w, order[lo:hi])), sign)
+    r = [0, *(w[i - 1].pair == iota for i in order), 0]
+    # r[k + 1] is r(k); a run boundary k has sign r(k) - r(k-1): +1 at the run's first
+    # rank, -1 just past its last
+    bounds = [(k, r[k + 1] - r[k]) for k in range(len(order) + 1) if r[k + 1] != r[k]]
+    out.add((tuple(w), ()), -(len(bounds) // 2))
+    for (lo, s), (hi, t) in combinations(bounds, 2):
+        out.add((subword(w, order[:lo] + order[hi:]), subword(w, order[lo:hi])), -s * t)
     return out
 
 

@@ -125,6 +125,24 @@ def test_chi_order_invariance():
                 assert d.phi(w) == d.phi(swapped)
 
 
+def test_one_letter_subtraction_reads_only_its_value():
+    """x(w) for one letter is value(w) as a Fraction; no block weight is read."""
+    x = Letter("x", "a", "l")
+    reads = []
+
+    def phi(w):
+        reads.append(w)
+        return 3
+
+    def unread(w):
+        raise AssertionError(f"read {w}")
+
+    got = kappa_from_phi(phi, (x,))
+    assert got == 3 and type(got) is Fraction and reads == [(x,)]
+    got = conditional_kappa_from(lambda w: -2, unread, (x,))
+    assert got == -2 and type(got) is Fraction
+
+
 def test_conditional_two_letters():
     rng = random.Random(7)
     pure = random_moment_pure("a", rng, max_degree=3, with_theta=True)

@@ -1,7 +1,9 @@
 import math
+import os
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from bifree import (
     eval_tensor,
     free_delta,
     liberation_test,
+    load_family,
     maximal_mono_intervals,
     replacement_expand,
     taur,
@@ -25,7 +28,7 @@ from bifree import (
     ubm_moment,
     ubm_power_expansion,
 )
-from bifree.bnc import chi_interval, chi_precedes
+from bifree.bnc import chi_interval, chi_precedes, s_chi_permutation
 from bifree.words import chi_of, eps_of, subword
 
 from conftest import SWAPS, apply_swaps, random_family, random_table_joint, words_up_to
@@ -132,6 +135,36 @@ def _taur_by_intervals(w, iota):
 @given(st.lists(st.sampled_from(MULTI), max_size=7).map(tuple), st.sampled_from("ab"))
 def test_taur_matches_interval_definition(w, iota):
     assert taur(w, iota).terms == _taur_by_intervals(w, iota).terms
+
+
+def _taur_pairs(w, iota):
+    """The pairwise loop: four chi-order slices for each pair of iota chi-ranks a <= b."""
+    out = TensorSum()
+    order = s_chi_permutation(chi_of(w)) if w else ()
+    ranks = [k for k, i in enumerate(order) if w[i - 1].pair == iota]
+    for a, b in combinations_with_replacement(ranks, 2):
+        for lo, hi, sign in ((a, b + 1, 1), (a, b, -1), (a + 1, b + 1, -1), (a + 1, b, 1)):
+            # the open interval (i, i) is empty: lo > hi, and the complement is everything
+            out.add((subword(w, order[:lo] + order[max(lo, hi):]),
+                     subword(w, order[lo:hi])), sign)
+    return out.terms
+
+
+# three pairs, each with a left and a right generator; pair "z" is in no word
+THREE = tuple(Letter(f"{p}{side}", p, side) for p in "abc" for side in "lr")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(THREE), max_size=8).map(tuple), st.sampled_from("abcz"))
+def test_taur_closed_form_matches_pairwise_loop(w, iota):
+    assert taur(w, iota).terms == _taur_pairs(w, iota)
+
+
+def test_taur_of_one_long_iota_run_has_two_terms():
+    """499 al then bl: 2 terms, where summing pair by pair adds about 500,000."""
+    fam = load_family(os.path.join(os.path.dirname(__file__), "data", "two_pairs.json"))
+    w = fam.word(" ".join(["al"] * 499 + ["bl"]))
+    assert taur(w, "a").terms == {(w[-1:], w[:-1]): 1, (w, ()): -1}
 
 
 def test_taur_test_verdicts():
