@@ -103,32 +103,39 @@ def _nc_fold(colour, leaf, ring, top=False):
     Recursion on the block of lo, whose gaps and tail are partitioned
     independently; each interval sum is closed and memoised on (lo, hi, top).
     The tail is summed first and the leaf read only if the tail is not zero.
+    Empty intervals and memo hits are read inline, without a call (a miss reads
+    back the memo itself, since None is a memoised zero); later[i] holds the
+    ranks after i of the colour of i.
     """
     one, mul, add, close = ring
+    n = len(colour)
+    later = [[j for j in range(i + 1, n) if colour[j] == colour[i]] for i in range(n)]
     sums = {}
 
     def total(lo, hi, top):
-        if lo == hi:
-            return one
-        if (lo, hi, top) in sums:
-            return sums[lo, hi, top]
         acc = None
         # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
         pending = [((lo,), lo, one)]
         while pending:
             block, last, coeff = pending.pop()
-            tail = total(last + 1, hi, top)
+            start = last + 1
+            if (tail := one if start == hi else sums.get((start, hi, top), sums)) is sums:
+                tail = total(start, hi, top)
             if tail is not None and (weight := leaf(block, top)) is not None:
                 term = mul(mul(coeff, tail), weight)
                 acc = term if acc is None else add(acc, term)
-            for j in range(last + 1, hi):
-                if colour[j] == colour[lo] and (gap := total(last + 1, j, False)) is not None:
+            for j in later[last]:
+                if j >= hi:
+                    break
+                if (gap := one if j == start else sums.get((start, j, False), sums)) is sums:
+                    gap = total(start, j, False)
+                if gap is not None:
                     pending.append((block + (j,), j, mul(coeff, gap)))
         sums[lo, hi, top] = entry = None if acc is None else close(acc)
         return entry
 
     try:
-        return total(0, len(colour), top)
+        return total(0, n, top) if n else one
     finally:
         total = None  # break total's self-reference, so the memo is freed on return
 

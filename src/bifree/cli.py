@@ -41,8 +41,8 @@ UBM_MAX_N = 3000
 # line, 976 letters already end in a RecursionError in `moment` (all three
 # modes) and `liberate`; a caller that runs main() from a deeper stack fails
 # sooner, so the limit keeps half the recursion limit spare.  Words this long
-# are far out of reach in time anyway: `moment` on 20 letters of one pair
-# takes about 10 s, and two more letters take about four times as long.
+# are far out of reach in time anyway: `moment --spec tests/data/two_pairs.json`
+# on 20 letters `al` takes about 7 s, and two more letters about 4 times as long.
 WORD_MAX_LEN = 500
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .bnc import BncPartition, _mobius, _nc_fold, enumerate_bnc, s_chi_permutation
+from .bnc import BncPartition, _mobius, _nc_fold, enumerate_bnc
 from .errors import InsufficientDataError, SizeError
 from .partitions import SetPartition
 from .words import ScanVerdict, chi_of, scan, subword
@@ -33,42 +33,49 @@ _EXACT = ((1, 1, True),
           lambda a: (a[0] // (g := gcd(a[0], a[1])), a[1] // g, a[2]))
 
 
-def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False) -> Fraction:
+def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False, raw=False):
     """Sum over pi in BNC(chi_of(w)) of the product of the block weights of pi.
 
     A block weighs weight(block subword), or top_weight(block subword) when
     top_weight is given and the block is outer (no other block chi-surrounds
     it: in chi-order, outer blocks are the blocks at the top level).
     by_pair keeps only the partitions whose blocks are eps-monochromatic;
-    skip_full leaves out the one-block partition.
+    skip_full leaves out the one-block partition; raw returns an unreduced
+    (num, den) pair instead of a Fraction.
 
-    The sum is bnc._nc_fold over the letters in chi-order.  A weight that
+    The sum is bnc._nc_fold over the letters in chi-order, read off their
+    sides, and a block's weight is read once per top flag.  A weight that
     raises InsufficientDataError marks its block missing, and the sum raises
     only if some partition has a missing block and no block of weight 0.
     The explicit sum, which reads each partition's blocks up to the first 0,
     raises on that partition too.
     """
     n = len(w)
-    order = s_chi_permutation(chi_of(w)) if n else ()
-    weights = {}
+    order = [p for p in range(n) if w[p].side == "l"] + [
+        p for p in range(n - 1, -1, -1) if w[p].side == "r"]
+    if len(order) != n:
+        raise ValueError(f"chi must be a string over 'l'/'r', got {chi_of(w)!r}")
+    memos = ({}, {})  # block of ranks -> (num, den, flag) or None, per top flag
+    if skip_full:
+        memos[top_weight is not None][tuple(range(n))] = None
 
     def leaf(block, top):
-        if skip_full and len(block) == n:
-            return None
-        if (block, top) not in weights:
-            sub = subword(w, [order[k] for k in block])
+        memo = memos[top]
+        if (entry := memo.get(block, memo)) is memo:
+            sub = tuple([w[p] for p in sorted([order[k] for k in block])])
             try:
                 v = (top_weight if top else weight)(sub)
-                weights[block, top] = (v.numerator, v.denominator, True) if v else None
+                entry = (num, v.denominator, True) if (num := v.numerator) else None
             except InsufficientDataError as err:
-                weights[block, top] = (0, 1, err)
-        return weights[block, top]
+                entry = (0, 1, err)
+            memo[block] = entry
+        return entry
 
-    colour = [w[p - 1].pair if by_pair else None for p in order]
+    colour = [w[p].pair if by_pair else None for p in order]
     num, den, flag = _nc_fold(colour, leaf, _EXACT, top_weight is not None) or (0, 1, True)
     if flag is not True:
         raise flag
-    return Fraction(num, den)
+    return (num, den) if raw else Fraction(num, den)
 
 
 def _pure_cumulant(pures):
@@ -100,11 +107,11 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
         memo = {}
 
     def x(word):
-        if word not in memo:
-            v = value(word)
-            memo[word] = (Fraction(v) if len(word) == 1 else
-                          v - _nc_sum(word, weight, top_weight=top, skip_full=True))
-        return memo[word]
+        if (v := memo.get(word)) is None:
+            p, q = value(word).as_integer_ratio()  # value - sum, built as one Fraction
+            num, den = _nc_sum(word, weight, top_weight=top, skip_full=True, raw=True)
+            memo[word] = v = Fraction(p * den - num * q, q * den)
+        return v
 
     weight, top = (x, None) if inner is None else (inner, x)
     return x(w)

@@ -58,16 +58,16 @@ class PureDistribution:
     def moment(self, w) -> Fraction:
         if len(w) == 0:
             return Fraction(1)
-        if w not in self._moment_memo:
-            self._moment_memo[w] = self._raw_moment(w)
-        return self._moment_memo[w]
+        if (v := self._moment_memo.get(w)) is None:
+            v = self._moment_memo[w] = self._raw_moment(w)
+        return v
 
     def cumulant(self, w) -> Fraction:
         if len(w) == 0:
             raise ValueError("cumulants need length >= 1")
-        if w not in self._cumulant_memo:
-            self._cumulant_memo[w] = self._raw_cumulant(w)
-        return self._cumulant_memo[w]
+        if (v := self._cumulant_memo.get(w)) is None:
+            v = self._cumulant_memo[w] = self._raw_cumulant(w)
+        return v
 
     def _raw_moment(self, w):
         return cumulants.moments_from_cumulants(self.cumulant, w)
@@ -83,8 +83,9 @@ class PureDistribution:
         return self._lookup(self.theta_table, w)
 
     def conditional_cumulant(self, w) -> Fraction:
-        return cumulants.conditional_kappa_from(
-            self.theta, self.cumulant, w, self._ckappa_memo)
+        if (v := self._ckappa_memo.get(w)) is None:
+            v = cumulants.conditional_kappa_from(self.theta, self.cumulant, w, self._ckappa_memo)
+        return v
 
 
 class MomentTablePure(PureDistribution):
@@ -193,22 +194,27 @@ class BifreeProduct(JointDistribution):
         self._theta_memo = {}
 
     def phi(self, w) -> Fraction:
-        key = canonical_word(w)
-        if key not in self._phi_memo:
-            self._phi_memo[key] = cumulants.bifree_product_moment(self.pures, key)
-        return self._phi_memo[key]
+        """The memo is read at w first, and at w's canonical word on a miss."""
+        if (v := self._phi_memo.get(w := tuple(w))) is None:
+            key = canonical_word(w)
+            if (v := self._phi_memo.get(key)) is None:
+                v = self._phi_memo[key] = cumulants.bifree_product_moment(self.pures, key)
+            self._phi_memo[w] = v
+        return v
 
     def theta(self, w) -> Fraction:
-        """The theta-moment of w; every pair must have a theta layer, and a
-        product of no pairs has none."""
-        key = canonical_word(w)
-        if key not in self._theta_memo:
-            if not self.pures:
-                raise ModeError("a product of no pairs has no theta layer")
-            for pure in self.pures.values():
-                pure.theta(())  # ModeError naming the pair if it has no theta layer
-            self._theta_memo[key] = cumulants.conditional_product_theta(self.pures, key)
-        return self._theta_memo[key]
+        """The theta-moment of w, memoised as phi is; every pair must have a
+        theta layer, and a product of no pairs has none."""
+        if (v := self._theta_memo.get(w := tuple(w))) is None:
+            key = canonical_word(w)
+            if (v := self._theta_memo.get(key)) is None:
+                if not self.pures:
+                    raise ModeError("a product of no pairs has no theta layer")
+                for pure in self.pures.values():
+                    pure.theta(())  # ModeError naming the pair if it has no theta layer
+                v = self._theta_memo[key] = cumulants.conditional_product_theta(self.pures, key)
+            self._theta_memo[w] = v
+        return v
 
 
 class TableJoint(JointDistribution):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import types
@@ -30,6 +31,8 @@ from bifree import (
     subword,
     word_text,
 )
+from bifree import cumulants
+from bifree.bnc import s_chi_permutation
 from bifree.cumulants import conditional_kappa_from, kappa_from_phi
 
 from conftest import (
@@ -384,3 +387,39 @@ def test_truncated_phi_kappa_raises_only_where_partition_sum_raises(w, seed):
     else:
         for fill in (1, 2):
             assert got == _kappa_sum(_TruncatedTable(seed, fill), w, {})
+
+
+def test_kernel_chi_order_is_s_chi(monkeypatch):
+    """_nc_sum reads the chi-order off the letters' sides; with one pair per
+    letter, the colours it hands the fold name the positions in that order."""
+    colours = []
+    monkeypatch.setattr(cumulants, "_nc_fold", lambda colour, *args: colours.append(colour))
+    for n in range(1, 9):
+        for chi in itertools.product("lr", repeat=n):
+            w = tuple(Letter("x", str(p), side) for p, side in enumerate(chi, 1))
+            cumulants._nc_sum(w, lambda sub: Fraction(1), by_pair=True)
+            assert colours.pop() == [str(p) for p in s_chi_permutation("".join(chi))]
+
+
+def test_kernel_refuses_a_side_other_than_l_or_r():
+    x = Letter("x", "a", "l")
+    bad = Letter._make(("y", "a", "m"))  # past the check in Letter()
+    for w in ((bad,), (x, bad), (bad, x, x)):
+        with pytest.raises(ValueError, match="chi must be"):
+            moments_from_cumulants(lambda sub: Fraction(1), w)
+        with pytest.raises(ValueError, match="chi must be"):
+            kappa_from_phi(lambda sub: Fraction(1), w)
+
+
+def test_conditional_cumulant_reads_its_memo_before_the_subtraction(monkeypatch):
+    pure = random_moment_pure("a", random.Random(12), max_degree=4, with_theta=True)
+    w = pure.letters + pure.letters[:1] + pure.letters[1:]
+    entered = []
+    subtraction = cumulants._subtraction
+    monkeypatch.setattr(cumulants, "_subtraction",
+                        lambda value, word, *args: entered.append(word)
+                        or subtraction(value, word, *args))
+    first = pure.conditional_cumulant(w)
+    assert w in entered
+    entered.clear()
+    assert pure.conditional_cumulant(w) == first and entered == []

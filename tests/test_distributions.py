@@ -28,7 +28,7 @@ from bifree import (
     words_up_to,
 )
 
-from conftest import random_family, random_moment_pure, random_table_joint
+from conftest import SWAPS, apply_swaps, random_family, random_moment_pure, random_table_joint
 
 
 def test_semicircular_pair():
@@ -329,3 +329,28 @@ def test_theta_without_a_layer_is_a_mode_error():
                 d.theta(w)
     with pytest.raises(ModeError, match="no pairs"):
         BifreeProduct({}).theta(())
+
+
+def _theta_family():
+    return random_family(random.Random(41), max_degree=5, with_theta=True)
+
+
+# One product shared by every example, so its memo holds the words of earlier ones.
+_SHARED = BifreeProduct(_theta_family())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_SHARED.letters), max_size=5).map(tuple),
+       st.lists(SWAPS, min_size=1, max_size=3), st.randoms(use_true_random=False))
+def test_product_memo_never_returns_a_stale_value(w, swap_lists, rnd):
+    """phi and theta read the memo at the word as given before canonicalising
+    it; every rearrangement of w by commutations reads w's value, on the shared
+    product and on a fresh one, in any call order, and list words still work."""
+    fresh = BifreeProduct(_theta_family())
+    want = {"phi": fresh.phi(w), "theta": fresh.theta(w)}
+    calls = [(method, v) for method in want for v in [w] + [apply_swaps(w, s) for s in swap_lists]]
+    rnd.shuffle(calls)
+    for d in (_SHARED, BifreeProduct(_theta_family())):
+        for method, v in calls:
+            assert getattr(d, method)(v) == want[method]
+            assert getattr(d, method)(list(v)) == want[method]
