@@ -4,9 +4,9 @@ A chi-map is a string over {l, r} giving the side of each position 1..n.
 An eps-map is a tuple of pair-color labels of the same length.
 The chi-order lists left positions ascending, then right positions descending.
 A chi-interval is a contiguous slice of the chi-order.  BNC(chi) is NC(n)
-carried through the chi-order, and `_nc_fold` is the one recursion over it,
-generic in the semiring: it enumerates and it sums.  Nothing is cached across
-calls.
+carried through the chi-order, and `_nc_fold` is the one loop over it, a
+bottom-up sum over chi-order intervals that is generic in the semiring: it
+enumerates and it sums.  Nothing is cached across calls.
 """
 from __future__ import annotations
 
@@ -100,44 +100,41 @@ def _nc_fold(colour, leaf, ring, top=False):
     their blocks.  ring is (one, mul, add, close); None is the absorbing zero,
     which the fold skips, so mul and add never see it.
 
-    Recursion on the block of lo, whose gaps and tail are partitioned
-    independently; each interval sum is closed and memoised on (lo, hi, top).
-    The tail is summed first and the leaf read only if the tail is not zero.
-    Empty intervals and memo hits are read inline, without a call (a miss reads
-    back the memo itself, since None is a memoised zero); later[i] holds the
-    ranks after i of the colour of i.
+    The block of lo splits the ranks lo..hi-1 into its gaps and its tail, which
+    are partitioned independently; sums[lo][hi] is that interval's closed sum.
+    One loop fills it bottom-up: by hi, then by lo descending, so every tail
+    and gap a block reads is already closed.  With top, the intervals that end
+    at n are the outer ones.  The leaf is read only if the tail is not zero.
+    An interval with hi < n is read only within a gap that ends at hi, so it
+    is summed only when a rank of hi's colour precedes lo; later[i] holds the
+    ranks after i of the colour of i.  sums starts as one everywhere: the
+    empty intervals keep it, and every other entry read is written first.
     """
     one, mul, add, close = ring
     n = len(colour)
     later = [[j for j in range(i + 1, n) if colour[j] == colour[i]] for i in range(n)]
-    sums = {}
-
-    def total(lo, hi, top):
-        acc = None
-        # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
-        pending = [((lo,), lo, one)]
-        while pending:
-            block, last, coeff = pending.pop()
-            start = last + 1
-            if (tail := one if start == hi else sums.get((start, hi, top), sums)) is sums:
-                tail = total(start, hi, top)
-            if tail is not None and (weight := leaf(block, top)) is not None:
-                term = mul(mul(coeff, tail), weight)
-                acc = term if acc is None else add(acc, term)
-            for j in later[last]:
-                if j >= hi:
-                    break
-                if (gap := one if j == start else sums.get((start, j, False), sums)) is sums:
-                    gap = total(start, j, False)
-                if gap is not None:
-                    pending.append((block + (j,), j, mul(coeff, gap)))
-        sums[lo, hi, top] = entry = None if acc is None else close(acc)
-        return entry
-
-    try:
-        return total(0, n, top) if n else one
-    finally:
-        total = None  # break total's self-reference, so the memo is freed on return
+    lows = [colour.index(c) for c in colour] + [-1]  # per hi, lo stays above this rank
+    sums = [[one] * (n + 1) for _ in range(n + 1)]
+    for hi in range(1, n + 1):
+        outer = top and hi == n
+        for lo in range(hi - 1, lows[hi], -1):
+            acc = None
+            # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
+            pending = [((lo,), lo, one)]
+            while pending:
+                block, last, coeff = pending.pop()
+                start = last + 1
+                tail = sums[start][hi]
+                if tail is not None and (weight := leaf(block, outer)) is not None:
+                    term = mul(mul(coeff, tail), weight)
+                    acc = term if acc is None else add(acc, term)
+                for j in later[last]:
+                    if j >= hi:
+                        break
+                    if (gap := sums[start][j]) is not None:
+                        pending.append((block + (j,), j, mul(coeff, gap)))
+            sums[lo][hi] = None if acc is None else close(acc)
+    return sums[0][n]
 
 
 # Lists of partitions (tuples of blocks); add extends the fold's fresh product.

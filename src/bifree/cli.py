@@ -37,12 +37,10 @@ from .vaccine import vaccine_reconstruct_moment, vaccine_test
 # `ubm --n` above this exits 2 before any work; `ubm --n 3000 --t 1` takes
 # about 2 s, and the time grows about as n^3 (n = 10,000 took 69 s)
 UBM_MAX_N = 3000
-# `--word` above this many letters exits 2 before any work.  From the command
-# line, 976 letters already end in a RecursionError in `moment` (all three
-# modes) and `liberate`; a caller that runs main() from a deeper stack fails
-# sooner, so the limit keeps half the recursion limit spare.  Words this long
-# are far out of reach in time anyway: `moment --spec tests/data/two_pairs.json`
-# on 20 letters `al` takes about 7 s, and two more letters about 4 times as long.
+# `--word` above this many letters exits 2 before any work.  The limit guards
+# time: words far shorter are out of reach, since `moment --spec
+# tests/data/two_pairs.json` on 20 letters `al` takes about 7 s, and two more
+# letters about 4 times as long.
 WORD_MAX_LEN = 500
 
 

@@ -1,5 +1,7 @@
-"""Shared factories for randomized rational test families."""
+"""Shared factories for randomized rational test families and spec files."""
+import functools
 import itertools
+import json
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -64,3 +66,40 @@ def apply_swaps(w, swaps):
         if i + 1 < len(w) and commutes(w[i], w[i + 1]):
             w = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
     return w
+
+
+def json_paths(node, path=()):
+    """Every position in a parsed JSON value, as a tuple of keys and indices."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def mutated_specs(draw, spec):
+    """A copy of the parsed spec with any one position replaced or deleted."""
+    spec = json.loads(json.dumps(spec))
+    path = draw(st.sampled_from(list(json_paths(spec))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return value
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], spec)
+    if draw(st.booleans()):
+        parent[path[-1]] = value
+    else:
+        del parent[path[-1]]
+    return spec

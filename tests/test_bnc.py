@@ -1,12 +1,15 @@
 import gc
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bifree import (
     BncPartition,
+    InsufficientDataError,
     Letter,
     OrderError,
     SetPartition,
@@ -28,7 +31,8 @@ from bifree import (
     refines,
     s_chi_permutation,
 )
-from bifree.bnc import _ranks
+from bifree.bnc import _LISTS, _nc_fold, _ranks
+from bifree.cumulants import _EXACT
 
 # worked eight-point example: lefts {2,3,4,7}, rights {1,5,6,8},
 # color 0 on {1,2,4,7,8} and color 1 on {3,5,6}
@@ -137,7 +141,7 @@ def test_enumerate_bnc_counts():
 
 
 def test_fold_leaves_no_garbage():
-    """The fold's memo is freed on return, not left in a cycle for the collector."""
+    """A fold frees its interval sums on return and leaves the collector nothing."""
     w = tuple(Letter(f"{p}{side}", p, side) for p, side in zip("abbaabab", "lrrllrlr"))
     gc.collect()
     gc.disable()
@@ -149,6 +153,83 @@ def test_fold_leaves_no_garbage():
     finally:
         gc.enable()
 
+
+# The recursive fold that the bottom-up loop replaced, kept verbatim as the oracle.
+def recursive_nc_fold(colour, leaf, ring, top=False):
+    """Sum over the non-crossing partitions of range(len(colour)) with
+    monochromatic blocks of the product of leaf(block of ranks, outer) over
+    their blocks.  ring is (one, mul, add, close); None is the absorbing zero,
+    which the fold skips, so mul and add never see it.
+
+    Recursion on the block of lo, whose gaps and tail are partitioned
+    independently; each interval sum is closed and memoised on (lo, hi, top).
+    The tail is summed first and the leaf read only if the tail is not zero.
+    Empty intervals and memo hits are read inline, without a call (a miss reads
+    back the memo itself, since None is a memoised zero); later[i] holds the
+    ranks after i of the colour of i.
+    """
+    one, mul, add, close = ring
+    n = len(colour)
+    later = [[j for j in range(i + 1, n) if colour[j] == colour[i]] for i in range(n)]
+    sums = {}
+
+    def total(lo, hi, top):
+        acc = None
+        # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
+        pending = [((lo,), lo, one)]
+        while pending:
+            block, last, coeff = pending.pop()
+            start = last + 1
+            if (tail := one if start == hi else sums.get((start, hi, top), sums)) is sums:
+                tail = total(start, hi, top)
+            if tail is not None and (weight := leaf(block, top)) is not None:
+                term = mul(mul(coeff, tail), weight)
+                acc = term if acc is None else add(acc, term)
+            for j in later[last]:
+                if j >= hi:
+                    break
+                if (gap := one if j == start else sums.get((start, j, False), sums)) is sums:
+                    gap = total(start, j, False)
+                if gap is not None:
+                    pending.append((block + (j,), j, mul(coeff, gap)))
+        sums[lo, hi, top] = entry = None if acc is None else close(acc)
+        return entry
+
+    try:
+        return total(0, n, top) if n else one
+    finally:
+        total = None  # break total's self-reference, so the memo is freed on return
+
+
+def logged_leaf(seed, ring, errors, reads):
+    """A leaf that logs every read and is deterministic per (block, outer):
+    a zero, a missing entry (in the exact ring) or a value."""
+    def leaf(block, outer):
+        reads.append((block, outer))
+        rng = random.Random(f"{seed}:{block}:{outer}")
+        kind = rng.randrange(6)
+        if kind == 0:
+            return None
+        if ring is _LISTS:
+            return ((block,),)
+        if kind == 1:
+            return 0, 1, errors.setdefault((block, outer), InsufficientDataError(str(block)))
+        return rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4), True
+    return leaf
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(st.integers(0, k - 1), max_size=9)),
+       st.booleans(), st.integers(0, 2**32))
+def test_fold_matches_recursive_oracle(colour, top, seed):
+    """Same sum and same multiset of leaf reads as the recursion, and the same
+    partitions in the same order."""
+    for ring in (_EXACT, _LISTS):
+        errors, reads, oracle_reads = {}, [], []
+        got = _nc_fold(colour, logged_leaf(seed, ring, errors, reads), ring, top)
+        want = recursive_nc_fold(colour, logged_leaf(seed, ring, errors, oracle_reads), ring, top)
+        assert got == want
+        assert Counter(reads) == Counter(oracle_reads)
 
 def test_enumerate_bnc_matches_filter():
     rng = random.Random(11)

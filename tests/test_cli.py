@@ -3,11 +3,13 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bifree import (
     SpecError,
@@ -17,6 +19,8 @@ from bifree import (
     ubm_eval,
 )
 from bifree.cli import UBM_MAX_N, WORD_MAX_LEN, build_parser, main
+
+from conftest import mutated_specs
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -255,7 +259,7 @@ def test_check_scans_every_generator(capsys):
     pytest.param(("ubm", "--n", "1800"), marks=NEEDS_DIGIT_LIMIT),
     ("ubm", "--n", str(UBM_MAX_N + 1), "--t", "1"),
     ("ubm", "--n", "100000000"),
-    # 1,200 letters used to end in a RecursionError traceback and exit 1
+    # 1,200 letters, past WORD_MAX_LEN (they once ended in a RecursionError traceback)
     ("moment", "--spec", TWO_PAIRS, "--word", LONG_AL),
     ("moment", "--spec", SEC4, "--word", " ".join(["x"] * 1200)),
     ("moment", "--spec", TWO_PAIRS, "--mode", "vaccine", "--seed", "1", "--word", LONG_AL),
@@ -380,6 +384,105 @@ def test_malformed_spec_is_a_typed_error(capsys, tmp_path, edit):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Mutated values for the fuzz below: empty, negative, huge, non-ASCII, unknown.
+HUGE = "9" * 40
+MUTATIONS = ["", "-3", HUGE, "\u0663", "\u00e9", "zz"]
+FUZZ_SPECS = [TWO_PAIRS, SEC4, CONDITIONAL, PERTURBED, ONE_PAIR, MULTI_GEN]
+
+
+@st.composite
+def _bad_spec_paths(draw, spec, workdir):
+    """The spec with one position mutated, as a new file, or a path that names no spec."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["", DATA, GOLDEN, os.path.join(DATA, "\u00e9.json")]))
+    with open(spec, encoding="utf-8") as fh:
+        mutated = draw(mutated_specs(json.load(fh)))
+    path = os.path.join(workdir, "spec.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(mutated, fh)
+    return path
+
+
+@st.composite
+def _partitions(draw, n):
+    """Any set partition of 1..n, crossing or not, as the CLI writes it."""
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return "|".join(" ".join(str(k + 1) for k in range(n) if labels[k] == b)
+                    for b in sorted(set(labels)))
+
+
+@st.composite
+def _argvs(draw, workdir):
+    """An argv from the subcommand grammar on a fixture spec.
+
+    Each option holds a valid value, except that one option may hold a
+    mutated value or be left out.  Valid values are kept small, and
+    `check --trials` runs as many trials as it is given, so it gets no huge count.
+    """
+    spec = draw(st.sampled_from(FUZZ_SPECS))
+    fam = load_family(spec)
+    symbols, pairs = sorted(fam.by_symbol), sorted(fam.pures)
+    chi = draw(st.text("lr", min_size=1, max_size=6))
+    bad = st.sampled_from(MUTATIONS)
+    word = ("--word", st.lists(st.sampled_from(symbols), min_size=1, max_size=4).map(" ".join),
+            st.lists(st.sampled_from(symbols + MUTATIONS), max_size=4).map(" ".join)
+            | st.just(" ".join(symbols[:1] * (WORD_MAX_LEN + 1))))
+    spec_path = ("--spec", st.just(spec), _bad_spec_paths(spec, workdir))
+    pair = ("--pair", st.sampled_from(pairs), bad)
+    seed = ("--seed", st.integers(-3, 3).map(str), bad)
+
+    def choice(flag, *values):
+        return flag, st.sampled_from(values), bad
+
+    command = draw(st.sampled_from(["bnc", "moment", "check", "ubm", "taur", "liberate"]))
+    options = {
+        "bnc": [choice(None, "enum", "intervals", "check", "blocks", "mobius"),
+                ("--chi", st.just(chi), bad | st.just("l" * 40)),
+                ("--eps", st.lists(st.sampled_from("ab"), min_size=len(chi),
+                                   max_size=len(chi)).map(",".join), bad),
+                ("--pi", _partitions(len(chi)), bad), ("--lower", _partitions(len(chi)), bad),
+                ("--upper", _partitions(len(chi)), bad)],
+        "moment": [spec_path, choice("--mode", "bifree", "vaccine", "conditional"), word, seed],
+        "check": [spec_path, choice("--method", "cumulants", "vaccine", "taur", "liberation"),
+                  choice("--max-len", "2", "3"), seed, pair,
+                  ("--trials", st.sampled_from(["1", "3"]),
+                   st.sampled_from([m for m in MUTATIONS if m != HUGE]))],
+        "ubm": [choice("--n", "1", "2", "5"),
+                ("--t", st.sampled_from(["0", "0.5", "-1"]),
+                 bad | st.sampled_from(["nan", "1e308"]))],
+        "taur": [spec_path, word, pair],
+        "liberate": [spec_path, word, pair],
+    }[command]
+    fault = draw(st.sampled_from([None, "mutated", "left out"]))
+    at = draw(st.integers(0, len(options) - 1))
+    argv = [command]
+    for k, (flag, valid, mutation) in enumerate(options):
+        if k == at and fault == "left out":
+            continue
+        value = draw(mutation if k == at and fault == "mutated" else valid)
+        argv += ([] if flag is None else [flag]) + [value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_keeps_the_exit_code_contract(tmp_path_factory, data):
+    """Exit 0, 1 with a COUNTEREXAMPLE or MISMATCH line, or 2 with an error line;
+    never a traceback."""
+    argv = data.draw(_argvs(str(tmp_path_factory.mktemp("fuzz"))))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 1:
+        assert {"check": "COUNTEREXAMPLE", "liberate": "MISMATCH"}.get(argv[0]) in out.split()
+    elif code == 2:
+        assert re.search(r"^(bifree[\w ]*: )?error: ", err, re.M), err
+    else:
+        assert code == 0
 
 
 def test_check_byte_stable(capsys):

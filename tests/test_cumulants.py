@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bifree import (
     BifreeProduct,
     BncPartition,
+    CumulantTablePure,
     Letter,
     ModeError,
     SetPartition,
@@ -107,6 +108,19 @@ def test_bifree_product_two_letters():
         bifree_product_moment(pures, (Letter("q", "zz", "l"),))
 
 
+def test_long_word_of_distinct_pairs_is_the_product_of_means():
+    """1,500 letters, each the one letter of its own pair: the only partition
+    with monochromatic blocks is the one of singletons, so the sum is linear
+    and the fold must not grow the stack with the word."""
+    n = 1500
+    pures = {f"p{k}": CumulantTablePure(
+        f"p{k}", *(((f"x{k}",), ()) if k % 2 else ((), (f"x{k}",))), 1,
+        {(f"x{k}",): Fraction(k + 2, k + 1)}) for k in range(n)}
+    w = tuple(p.letters[0] for p in pures.values())
+    assert bifree_product_moment(pures, w) == n + 1  # the means telescope
+    assert BifreeProduct(pures).phi(w) == n + 1
+
+
 def test_mixed_cumulants_vanish():
     rng = random.Random(5)
     pures = random_family(rng, max_degree=4)
@@ -192,9 +206,9 @@ def test_conditional_kappa_requires_theta():
         conditional_kappa(d, d.letters[:1])
 
 
-# Property tests of the interval recursion against the explicit sum over
+# Property tests of the interval fold against the explicit sum over
 # enumerate_bnc_leq_eps, with classify_blocks telling outer from inner blocks.
-# Like the loops the recursion replaced, the explicit sums read a partition's
+# Like the loops the fold replaced, the explicit sums read a partition's
 # blocks in order and stop at the first zero factor.
 
 def _partition_sum(pures, w, conditional):

@@ -1,4 +1,3 @@
-import functools
 import io
 import itertools
 import json
@@ -28,7 +27,14 @@ from bifree import (
     words_up_to,
 )
 
-from conftest import SWAPS, apply_swaps, random_family, random_moment_pure, random_table_joint
+from conftest import (
+    SWAPS,
+    apply_swaps,
+    mutated_specs,
+    random_family,
+    random_moment_pure,
+    random_table_joint,
+)
 
 
 def test_semicircular_pair():
@@ -182,42 +188,10 @@ def test_load_family_validation():
         load_family(neither)
 
 
-def _paths(node, path=()):
-    """Every position in a parsed JSON value, as a tuple of keys and indices."""
-    yield path
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        items = ()
-    for key, child in items:
-        yield from _paths(child, path + (key,))
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
-    | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=5)
-
-
-@given(st.data())
+@given(mutated_specs(SPEC))
 @settings(max_examples=200, deadline=None)
-def test_malformed_spec_raises_a_typed_error(data):
+def test_malformed_spec_raises_a_typed_error(spec):
     """Any one position of a valid spec replaced or deleted: a Family or a typed error."""
-    spec = json.loads(json.dumps(SPEC))
-    path = data.draw(st.sampled_from(list(_paths(spec))))
-    value = data.draw(JSON_VALUES)
-    if not path:
-        spec = value
-    else:
-        parent = functools.reduce(lambda node, key: node[key], path[:-1], spec)
-        if data.draw(st.booleans()):
-            parent[path[-1]] = value
-        else:
-            del parent[path[-1]]
     try:
         load_family(io.StringIO(json.dumps(spec)))
     except (BiFreeError, KeyError):
