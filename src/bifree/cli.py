@@ -42,6 +42,10 @@ UBM_MAX_N = 3000
 # tests/data/two_pairs.json` on 20 letters `al` takes about 7 s, and two more
 # letters about 4 times as long.
 WORD_MAX_LEN = 500
+# `check --method vaccine --trials` above this exits 2 before any work.  A
+# property that holds runs every trial: 10,000 trials at `--max-len 8` on
+# tests/data/two_pairs.json took 7.2 s of CPU, 1,000 took 1.1 s.
+TRIALS_MAX = 10_000
 
 
 def _parse_eps(text: str) -> tuple:
@@ -100,6 +104,8 @@ def cmd_moment(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.method == "vaccine" and args.trials > TRIALS_MAX:
+        raise SizeError(f"check --trials must be at most {TRIALS_MAX}, got {args.trials}")
     fam = load_family(args.spec)
     joint = fam.joint()
     pair = _pair(fam, args.pair)

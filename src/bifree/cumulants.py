@@ -4,11 +4,14 @@ Everything here is duck-typed over moment oracles: a "phi" is any callable
 Word -> Fraction with phi(()) == 1, and a pure distribution is any object
 with .cumulant / .conditional_cumulant methods (see distributions.py).
 
-Every moment-cumulant sum goes through `_nc_sum`, which is `bnc._nc_fold`
-over exact integer fractions: BNC(chi) is NC(n) carried through the
-chi-order, so a sum over BNC(chi) is a sum over non-crossing partitions of
-the letters read in chi-order, and the fold splits it at the block of the
-first letter into its gaps and its tail.
+Moments from cumulants and the product sums go through `_nc_sum`, which is
+`bnc._nc_fold` over exact integer fractions: BNC(chi) is NC(n) carried
+through the chi-order, so a sum over BNC(chi) is a sum over non-crossing
+partitions of the letters read in chi-order, and the fold splits it at the
+block of the first letter into its gaps and its tail.  The subtraction that
+inverts moments into cumulants, `_subtraction`, runs the same split in one
+pass over the subsets of a word's letters, so that every subword it solves
+shares the interval sums of the others.
 """
 from __future__ import annotations
 
@@ -33,15 +36,24 @@ _EXACT = ((1, 1, True),
           lambda a: (a[0] // (g := gcd(a[0], a[1])), a[1] // g, a[2]))
 
 
-def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False, raw=False):
+def _chi_order(w):
+    """The positions of w in chi-order: left letters ascending, then right
+    letters descending."""
+    n = len(w)
+    order = [p for p in range(n) if w[p].side == "l"] + [
+        p for p in range(n - 1, -1, -1) if w[p].side == "r"]
+    if len(order) != n:
+        raise ValueError(f"chi must be a string over 'l'/'r', got {chi_of(w)!r}")
+    return order
+
+
+def _nc_sum(w, weight, top_weight=None, by_pair=False):
     """Sum over pi in BNC(chi_of(w)) of the product of the block weights of pi.
 
     A block weighs weight(block subword), or top_weight(block subword) when
     top_weight is given and the block is outer (no other block chi-surrounds
     it: in chi-order, outer blocks are the blocks at the top level).
-    by_pair keeps only the partitions whose blocks are eps-monochromatic;
-    skip_full leaves out the one-block partition; raw returns an unreduced
-    (num, den) pair instead of a Fraction.
+    by_pair keeps only the partitions whose blocks are eps-monochromatic.
 
     The sum is bnc._nc_fold over the letters in chi-order, read off their
     sides, and a block's weight is read once per top flag.  A weight that
@@ -50,14 +62,8 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False, raw=Fals
     The explicit sum, which reads each partition's blocks up to the first 0,
     raises on that partition too.
     """
-    n = len(w)
-    order = [p for p in range(n) if w[p].side == "l"] + [
-        p for p in range(n - 1, -1, -1) if w[p].side == "r"]
-    if len(order) != n:
-        raise ValueError(f"chi must be a string over 'l'/'r', got {chi_of(w)!r}")
+    order = _chi_order(w)
     memos = ({}, {})  # block of ranks -> (num, den, flag) or None, per top flag
-    if skip_full:
-        memos[top_weight is not None][tuple(range(n))] = None
 
     def leaf(block, top):
         memo = memos[top]
@@ -75,7 +81,7 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False, raw=Fals
     num, den, flag = _nc_fold(colour, leaf, _EXACT, top_weight is not None) or (0, 1, True)
     if flag is not True:
         raise flag
-    return (num, den) if raw else Fraction(num, den)
+    return Fraction(num, den)
 
 
 def _pure_cumulant(pures):
@@ -98,23 +104,106 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
     """x(w) = value(w) - sum over non-full pi in BNC(chi) of block weight products.
 
     Every block weighs x; with inner given, inner blocks weigh inner and outer
-    blocks x.  value(w) is read before the sum, and memo holds x.  A one-letter
-    word has no non-full partition, so there x is value alone.
+    blocks x.  memo holds x, and every x solved on the way goes into it.  A
+    one-letter word has no non-full partition, so there x is value alone.
+
+    One pass solves every subword the sum reads.  A subword is a set of w's
+    positions, kept as a bitmask, in w's chi-order.  x(S) reads value(S)
+    before the sum, then closes the chi-intervals of S that bnc._nc_fold over
+    S closes, in the same order and with the same block growth: an interval
+    that ends at the end of S is outer, any other inner.  A closed sum
+    depends only on its set and its kind, so the pass keeps it and every
+    later subword reads it.  The fold adds the full block's term last, so an
+    interval whose full block weighs x, once x is solved, is the sum kept
+    for x plus that term.  So the pass reads the same words of value, inner
+    and memo as a fold per subword, keeps the same first missing entry, and
+    recurses only through x, one subword shorter at each level.
     """
     if len(w) == 0:
         raise ValueError("cumulants are defined for words of length >= 1")
     if memo is None:
         memo = {}
+    if (v := memo.get(w)) is not None:
+        return v
+    chi_bits = [1 << p for p in _chi_order(w)]
+    bit_letters = [(1 << p, letter) for p, letter in enumerate(w)]
+    one, mul, add, close = _EXACT
+    # per kind (inner, outer): mask -> block weight entry, and mask -> closed interval sum
+    weights = ({}, {}) if inner is not None else ({},) * 2
+    closed = ({}, {}) if inner is not None else ({},) * 2
+    tops = {}  # mask -> closed sum over its partitions but the one-block one
 
-    def x(word):
-        if (v := memo.get(word)) is None:
-            p, q = value(word).as_integer_ratio()  # value - sum, built as one Fraction
-            num, den = _nc_sum(word, weight, top_weight=top, skip_full=True, raw=True)
-            memo[word] = v = Fraction(p * den - num * q, q * den)
+    def solve(mask, sub):
+        p, q = value(sub).as_integer_ratio()  # value - sum, built as one Fraction
+        top = tops[mask] = fold(mask)
+        num, den, flag = top or (0, 1, True)
+        if flag is not True:
+            raise flag
+        memo[sub] = v = Fraction(p * den - num * q, q * den)
         return v
 
-    weight, top = (x, None) if inner is None else (inner, x)
-    return x(w)
+    def weight(outer, mask):
+        table = weights[outer]
+        if (entry := table.get(mask, table)) is table:
+            sub = tuple([letter for bit, letter in bit_letters if mask & bit])
+            try:
+                if outer or inner is None:
+                    if (v := memo.get(sub)) is None:
+                        v = solve(mask, sub)
+                else:
+                    v = inner(sub)
+                entry = (num, v.denominator, True) if (num := v.numerator) else None
+            except InsufficientDataError as err:
+                entry = (0, 1, err)
+            table[mask] = entry
+        return entry
+
+    def fold(mask):
+        ranks = [bit for bit in chi_bits if mask & bit]  # mask's letters in chi-order
+        m = len(ranks)
+        prefix = [0]
+        for bit in ranks:
+            prefix.append(prefix[-1] | bit)
+        sums = [[one] * (m + 1) for _ in range(m + 1)]
+        for hi in range(1, m + 1):
+            outer = hi == m
+            table = closed[outer]
+            for lo in range(hi - 1, -1 if outer else 0, -1):
+                if lo == 0:  # the whole word, without its one-block partition
+                    whole, full = mask, None
+                else:
+                    whole = prefix[hi] ^ prefix[lo]
+                    if (acc := table.get(whole, table)) is not table:
+                        sums[lo][hi] = acc
+                        continue
+                    full = weight(outer, whole)  # the last term of the fold, read first
+                    if (outer or inner is None) and (acc := tops.get(whole, tops)) is not tops:
+                        if full is not None:
+                            acc = full if acc is None else close(add(acc, full))
+                        sums[lo][hi] = table[whole] = acc
+                        continue
+                acc = None
+                pending = [(ranks[lo], lo, one)]
+                while pending:
+                    block, last, coeff = pending.pop()
+                    start = last + 1
+                    row = sums[start]
+                    if row[hi] is not None and (leaf := full if block == whole
+                                                else weight(outer, block)) is not None:
+                        term = mul(mul(coeff, row[hi]), leaf)
+                        acc = term if acc is None else add(acc, term)
+                    for j in range(start, hi):
+                        if (gap := row[j]) is not None:
+                            pending.append((block | ranks[j], j, mul(coeff, gap)))
+                sums[lo][hi] = acc = None if acc is None else close(acc)
+                if lo:
+                    table[whole] = acc
+        return sums[0][m]
+
+    try:
+        return solve((1 << len(w)) - 1, w)
+    finally:
+        weight = None  # solve, weight and fold refer to each other: free them on return
 
 
 def kappa_from_phi(phi, w, memo=None) -> Fraction:
@@ -157,10 +246,35 @@ def bifree_product_moment(pures, w) -> Fraction:
     Sum over bi-non-crossing partitions with eps-monochromatic blocks of the
     products of blockwise pure cumulants.
     """
-    for letter in w:
-        if letter.pair not in pures:
-            raise KeyError(f"no pure distribution for pair {letter.pair!r}")
+    _solve_projections(pures, w, conditional=False)
     return _nc_sum(w, _pure_cumulant(pures), by_pair=True)
+
+
+def _solve_projections(pures, w, conditional):
+    """Ask each pair for the cumulant of its letters in w (and, if conditional,
+    for the conditional cumulant) before the fold does.
+
+    The fold reads short blocks first, and each would start a subtraction of
+    its own; asked first, one subtraction per pair solves every block of it
+    that the fold reads.  The pairs go by their first letter in w; a pair
+    with one letter has nothing to share and is left to the fold, and so is
+    a missing entry, which the fold raises only if it needs it.
+    """
+    projections = {}
+    for letter in w:
+        projections.setdefault(letter.pair, []).append(letter)
+    for pair in projections:
+        if pair not in pures:
+            raise KeyError(f"no pure distribution for pair {pair!r}")
+    for pair, letters in projections.items():
+        if len(letters) > 1:
+            pure, sub = pures[pair], tuple(letters)
+            for ask in (pure.cumulant, pure.conditional_cumulant) if conditional else (
+                    pure.cumulant,):
+                try:
+                    ask(sub)
+                except InsufficientDataError:
+                    pass
 
 
 def conditional_kappa_from(theta, kappa_fn, w, memo=None) -> Fraction:
@@ -180,6 +294,7 @@ def conditional_product_theta(pures, w) -> Fraction:
     Sum over eps-monochromatic bi-non-crossing partitions with blockwise pure
     kappa on inner blocks and pure conditional cumulants on outer blocks.
     """
+    _solve_projections(pures, w, conditional=True)
     return _nc_sum(w, _pure_cumulant(pures),
                    top_weight=lambda sub: pures[sub[0].pair].conditional_cumulant(sub),
                    by_pair=True)

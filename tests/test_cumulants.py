@@ -1,4 +1,6 @@
+import collections
 import functools
+import gc
 import itertools
 import math
 import random
@@ -14,6 +16,7 @@ from bifree import (
     CumulantTablePure,
     Letter,
     ModeError,
+    MomentTablePure,
     SetPartition,
     bifree_product_moment,
     builtin_semicircular_pair,
@@ -33,8 +36,8 @@ from bifree import (
     word_text,
 )
 from bifree import cumulants
-from bifree.bnc import s_chi_permutation
-from bifree.cumulants import conditional_kappa_from, kappa_from_phi
+from bifree.bnc import _nc_fold, s_chi_permutation
+from bifree.cumulants import _EXACT, conditional_kappa_from, kappa_from_phi
 
 from conftest import (
     rand_fraction,
@@ -118,6 +121,20 @@ def test_long_word_of_distinct_pairs_is_the_product_of_means():
         {(f"x{k}",): Fraction(k + 2, k + 1)}) for k in range(n)}
     w = tuple(p.letters[0] for p in pures.values())
     assert bifree_product_moment(pures, w) == n + 1  # the means telescope
+    assert BifreeProduct(pures).phi(w) == n + 1
+
+
+def test_long_word_of_distinct_moment_pairs_is_the_product_of_means():
+    """The same 1,500 letters over moment tables: each pair inverts its one
+    moment once, and grouping the letters by pair before the fold stays
+    linear in the word."""
+    n = 1500
+    pures = {f"p{k}": MomentTablePure(
+        f"p{k}", *(((f"x{k}",), ()) if k % 2 else ((), (f"x{k}",))), 1,
+        {(f"x{k}",): Fraction(k + 2, k + 1)}) for k in range(n)}
+    w = tuple(p.letters[0] for p in pures.values())
+    assert bifree_product_moment(pures, w) == n + 1
+    assert all(len(p._cumulant_memo) == 1 for p in pures.values())
     assert BifreeProduct(pures).phi(w) == n + 1
 
 
@@ -437,3 +454,195 @@ def test_conditional_cumulant_reads_its_memo_before_the_subtraction(monkeypatch)
     assert w in entered
     entered.clear()
     assert pure.conditional_cumulant(w) == first and entered == []
+
+
+# The recursive subtraction that the one-pass _subtraction replaced, which
+# solved each subword by its own fold, and the two options of _nc_sum that only
+# it used, kept verbatim as the oracle.
+def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False, raw=False):
+    """Sum over pi in BNC(chi_of(w)) of the product of the block weights of pi.
+
+    A block weighs weight(block subword), or top_weight(block subword) when
+    top_weight is given and the block is outer (no other block chi-surrounds
+    it: in chi-order, outer blocks are the blocks at the top level).
+    by_pair keeps only the partitions whose blocks are eps-monochromatic;
+    skip_full leaves out the one-block partition; raw returns an unreduced
+    (num, den) pair instead of a Fraction.
+
+    The sum is bnc._nc_fold over the letters in chi-order, read off their
+    sides, and a block's weight is read once per top flag.  A weight that
+    raises InsufficientDataError marks its block missing, and the sum raises
+    only if some partition has a missing block and no block of weight 0.
+    The explicit sum, which reads each partition's blocks up to the first 0,
+    raises on that partition too.
+    """
+    n = len(w)
+    order = [p for p in range(n) if w[p].side == "l"] + [
+        p for p in range(n - 1, -1, -1) if w[p].side == "r"]
+    if len(order) != n:
+        raise ValueError(f"chi must be a string over 'l'/'r', got {chi_of(w)!r}")
+    memos = ({}, {})  # block of ranks -> (num, den, flag) or None, per top flag
+    if skip_full:
+        memos[top_weight is not None][tuple(range(n))] = None
+
+    def leaf(block, top):
+        memo = memos[top]
+        if (entry := memo.get(block, memo)) is memo:
+            sub = tuple([w[p] for p in sorted([order[k] for k in block])])
+            try:
+                v = (top_weight if top else weight)(sub)
+                entry = (num, v.denominator, True) if (num := v.numerator) else None
+            except InsufficientDataError as err:
+                entry = (0, 1, err)
+            memo[block] = entry
+        return entry
+
+    colour = [w[p].pair if by_pair else None for p in order]
+    num, den, flag = _nc_fold(colour, leaf, _EXACT, top_weight is not None) or (0, 1, True)
+    if flag is not True:
+        raise flag
+    return (num, den) if raw else Fraction(num, den)
+
+
+def recursive_subtraction(value, w, memo, inner=None) -> Fraction:
+    """x(w) = value(w) - sum over non-full pi in BNC(chi) of block weight products.
+
+    Every block weighs x; with inner given, inner blocks weigh inner and outer
+    blocks x.  value(w) is read before the sum, and memo holds x.  A one-letter
+    word has no non-full partition, so there x is value alone.
+    """
+    if len(w) == 0:
+        raise ValueError("cumulants are defined for words of length >= 1")
+    if memo is None:
+        memo = {}
+
+    def x(word):
+        if (v := memo.get(word)) is None:
+            p, q = value(word).as_integer_ratio()  # value - sum, built as one Fraction
+            num, den = _nc_sum(word, weight, top_weight=top, skip_full=True, raw=True)
+            memo[word] = v = Fraction(p * den - num * q, q * den)
+        return v
+
+    weight, top = (x, None) if inner is None else (inner, x)
+    return x(w)
+
+
+def _logged(table, reads):
+    def read(sub):
+        reads.add(sub)
+        return table(sub)
+    return read
+
+
+def _subtraction_run(subtraction, value, inner, w, memo):
+    """The outcome of one subtraction, the words it read and the memo it left."""
+    value_reads, inner_reads, memo = set(), set(), dict(memo)
+    logged_inner = None if inner is None else _logged(inner, inner_reads)
+    try:
+        got = subtraction(_logged(value, value_reads), w, memo, logged_inner)
+    except InsufficientDataError as err:
+        got = ("raised", str(err))
+    return got, value_reads, inner_reads, memo
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 10**6), st.booleans(), st.booleans(), st.data())
+def test_subtraction_pass_matches_recursive_oracle(n, seed, coprime, conditional, data):
+    """The pass gives the recursion's value, or its error message, reads the
+    same words of value and inner, and leaves the same memo, on tables with
+    zeros and missing entries and on tables with coprime denominators, from an
+    empty memo and from one that an earlier subword filled."""
+    w = tuple(data.draw(st.lists(st.sampled_from(LETTERS), min_size=n, max_size=n)))
+    if coprime:
+        primes = iter(_PRIMES)
+        value, inner = (_CoprimeTable(f"{seed}:{kind}", primes) for kind in ("value", "inner"))
+    else:
+        value, inner = (_TruncatedTable(f"{seed}:{kind}") for kind in ("value", "inner"))
+    inner = inner if conditional else None
+    memo = {}
+    if data.draw(st.booleans()):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w)))
+        part = tuple(letter for letter, k in zip(w, keep) if k)
+        if part:
+            _outcome(recursive_subtraction, value, part, memo, inner)
+    assert (_subtraction_run(cumulants._subtraction, value, inner, w, memo)
+            == _subtraction_run(recursive_subtraction, value, inner, w, memo))
+
+
+@pytest.mark.parametrize("conditional", [False, True])
+def test_subtraction_pass_matches_recursive_oracle_on_seven_letters(conditional):
+    """Seven letters and no zero or missing entry, where every subword is solved
+    and most of the pass's interval sums are read again by later subwords."""
+    rng = random.Random(16)
+    for k in range(8):
+        w = tuple(rng.choices(LETTERS, k=7))
+        primes = iter(_PRIMES)
+        value, inner = (_CoprimeTable(f"{k}:{kind}", primes) for kind in ("value", "inner"))
+        inner = inner if conditional else None
+        assert (_subtraction_run(cumulants._subtraction, value, inner, w, {})
+                == _subtraction_run(recursive_subtraction, value, inner, w, {}))
+
+
+class _CountingTable(dict):
+    """A table that counts the reads of each key."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = collections.Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+
+def test_cold_phi_then_theta_solves_each_pair_in_one_pass(monkeypatch):
+    """A 12-letter word with 4 letters in each of 3 pairs: phi enters the
+    subtraction once per pair and theta once more, and no table entry is read
+    twice."""
+    pures = random_family(random.Random(13), pairs=("a", "b", "c"), max_degree=4,
+                          with_theta=True)
+    for pure in pures.values():
+        pure.table = _CountingTable(pure.table)
+        pure.theta_table = _CountingTable(pure.theta_table)
+    rng = random.Random(14)
+    w = [letter for pure in pures.values() for letter in rng.choices(pure.letters, k=4)]
+    rng.shuffle(w)
+    entered = collections.Counter()
+    subtraction = cumulants._subtraction
+    monkeypatch.setattr(cumulants, "_subtraction",
+                        lambda value, word, *args: entered.update([word[0].pair])
+                        or subtraction(value, word, *args))
+    d = BifreeProduct(pures)
+    d.phi(tuple(w))
+    assert entered == {"a": 1, "b": 1, "c": 1}
+    d.theta(tuple(w))
+    assert entered == {"a": 2, "b": 2, "c": 2}
+    for pure in pures.values():
+        assert pure.table.reads and max(pure.table.reads.values()) == 1
+        assert pure.theta_table.reads and max(pure.theta_table.reads.values()) == 1
+
+
+def test_projections_are_asked_for_by_first_letter():
+    """conditional_product_theta names the pair of the word's first letter
+    when no pair has a theta layer, whatever the hash seed; the fold alone
+    would name the pair of the letter last in chi-order."""
+    pures = random_family(random.Random(15), pairs=("a", "b", "c"), max_degree=3)
+    a, b, c = (pures[p].letters[0] for p in "abc")
+    for w, first in (((b, c, a, a, b, c), "b"), ((c, a, b, b, c, a), "c"),
+                     ((a, b, c, c, a, b), "a")):
+        with pytest.raises(ModeError, match=f"pair '{first}'"):
+            conditional_product_theta(pures, w)
+
+
+def test_subtraction_leaves_no_garbage():
+    """The pass frees its tables on return and leaves the collector nothing."""
+    w = tuple(Letter(f"{p}{side}", p, side) for p, side in zip("abbaabab", "lrrllrlr"))
+    gc.collect()
+    gc.disable()
+    try:
+        kappa_from_phi(lambda s: Fraction(len(s), 3), w)
+        assert gc.collect() == 0
+        conditional_kappa_from(lambda s: Fraction(len(s), 3), lambda s: Fraction(1, len(s)), w)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
