@@ -252,7 +252,9 @@ def bifree_product_moment(pures, w) -> Fraction:
 
 def _solve_projections(pures, w, conditional):
     """Ask each pair for the cumulant of its letters in w (and, if conditional,
-    for the conditional cumulant) before the fold does.
+    for the conditional cumulant) before the fold does.  Two letters, if
+    conditional, ask only for the conditional one: its subtraction reads no
+    plain cumulant, and the fold asks for one itself if their block nests.
 
     The fold reads short blocks first, and each would start a subtraction of
     its own; asked first, one subtraction per pair solves every block of it
@@ -269,8 +271,9 @@ def _solve_projections(pures, w, conditional):
     for pair, letters in projections.items():
         if len(letters) > 1:
             pure, sub = pures[pair], tuple(letters)
-            for ask in (pure.cumulant, pure.conditional_cumulant) if conditional else (
-                    pure.cumulant,):
+            asks = (pure.conditional_cumulant,) if len(sub) == 2 else (
+                pure.cumulant, pure.conditional_cumulant)
+            for ask in asks if conditional else (pure.cumulant,):
                 try:
                     ask(sub)
                 except InsufficientDataError:

@@ -5,6 +5,8 @@ Centring is done with per-letter rational shifts: each maximal monochromatic
 chi-interval's moment is multilinear in the shifts, so fixing all but one
 pivot shift leaves a linear equation.  This keeps everything in exact
 arithmetic; the reconstruction only needs some centring, not a specific one.
+Each centred product is evaluated in its integer form, `words._evaluate_centred`,
+which builds no Fraction per expansion term and no `LinearSum`.
 """
 from __future__ import annotations
 
@@ -13,15 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bnc import maximal_mono_intervals
-from .distributions import evaluate
 from .errors import DegenerateCentringError, DomainError
-from .words import (
-    check_scan,
-    chi_of,
-    eps_of,
-    shifted_product_expansion,
-    word_text,
-)
+from .words import _evaluate_centred, check_scan, chi_of, eps_of, word_text
 
 _RESAMPLE_LIMIT = 16
 
@@ -52,10 +47,10 @@ def _centre_interval(oracle, sub, rng) -> list:
             # linear coefficient of -c_pivot: the product with that factor removed
             reduced = tuple(sub[i] for i in others)
             reduced_shifts = {j: trial[i] for j, i in enumerate(others, 1)}
-            g = shifted_product_expansion(reduced, reduced_shifts).evaluate(oracle)
+            g = _evaluate_centred(reduced, reduced_shifts, oracle)
             if g == 0:
                 continue
-            f0 = shifted_product_expansion(sub, shifts).evaluate(oracle)
+            f0 = _evaluate_centred(sub, shifts, oracle)
             out = list(trial)
             out[pivot] = f0 / g
             return out
@@ -123,7 +118,7 @@ def vaccine_test(d, max_len, trials, seed) -> VaccineVerdict:
         except DegenerateCentringError:
             skipped += 1
             continue
-        value = evaluate(d, shifted_product_expansion(word, shifts))
+        value = _evaluate_centred(word, shifts, d.phi)
         done += 1
         if value != 0:
             return VaccineVerdict(holds=False, trials=done, skipped=skipped,
@@ -147,14 +142,14 @@ def vaccine_reconstruct_moment(pures, w, seed=0, cache=None) -> Fraction:
     def rec(word):
         if len(word) == 0:
             return Fraction(1)
+        if (value := cache.get(word)) is not None:  # only mixed words are cached
+            return value
         if len(set(eps_of(word))) <= 1:
             return oracle(word)
-        if word in cache:
-            return cache[word]
         shifts = centred_shifts(pures, word, seed=f"{seed}:{word_text(word)}")
-        expansion = shifted_product_expansion(word, shifts)
         # the full word's coefficient in the expansion is 1
-        value = -expansion.evaluate(lambda sub: rec(sub) if len(sub) < len(word) else 0)
+        value = -_evaluate_centred(
+            word, shifts, lambda sub: rec(sub) if len(sub) < len(word) else 0)
         cache[word] = value
         return value
 

@@ -184,16 +184,7 @@ class LinearSum:
         or an int.  The sum is kept as integers num/den over the lcm of the
         denominators so far, and reduced once at the end.
         """
-        num, den = 0, 1
-        for key, c in self.terms.items():
-            v = f(key)
-            p = c.numerator * v.numerator
-            if p:
-                q = c.denominator * v.denominator
-                g = gcd(den, q)
-                num = num * (q // g) + p * (den // g)
-                den = den // g * q
-        return Fraction(num, den)
+        return Fraction(*_sum_products(self.terms, f))
 
     def render(self) -> str:
         """For a tensor sum: one `±p/q · [left] ⊗ [right]` line per term, sorted."""
@@ -209,20 +200,39 @@ class LinearSum:
 ScalarWordSum = TensorSum = LinearSum
 
 
-def shifted_product_expansion(w: Word, shifts) -> LinearSum:
-    """Expansion of prod_i (z_i - c_i) as a word sum.
+def _sum_products(terms, f):
+    """(num, den) of the sum of c * f(key) over the nonzero c of terms.
 
-    `shifts` maps 1-based position -> rational shift (missing = 0).  With
-    c_i = p_i/q_i the product is prod_i (q_i z_i - p_i) / Q, Q = prod_i q_i:
-    the binomials are multiplied in one at a time with integer coefficients,
-    so the kept words share their prefixes, and each final coefficient is
-    divided by Q once.  A zero shift leaves only the branch that keeps its
-    letter.
+    terms maps keys to ints or Fractions; f is called once per nonzero term,
+    in term order.  num/den is kept over the lcm of the denominators so far.
+    """
+    num, den = 0, 1
+    for key, c in terms.items():
+        if a := c.numerator:
+            v = f(key)
+            if p := a * v.numerator:
+                q = c.denominator * v.denominator
+                g = gcd(den, q)
+                num = num * (q // g) + p * (den // g)
+                den = den // g * q
+    return num, den
+
+
+def _centred_terms(w, shifts):
+    """prod_i (q_i z_i - p_i) as (kept word -> int coefficient, Q = prod_i q_i).
+
+    c_i = p_i/q_i is shifts[i] (1-based, missing = 0).  The binomials are
+    multiplied in one at a time, so the kept words share their prefixes.  A
+    zero shift extends every kept word by its letter: Q does not change and,
+    the kept words being distinct, no two extended words collide.
     """
     terms = {(): 1}
     big_q = 1
     for i, letter in enumerate(w, 1):
         c = shifts.get(i, 0)
+        if not c:
+            terms = {kept + (letter,): coeff for kept, coeff in terms.items()}
+            continue
         if not isinstance(c, Fraction):
             c = Fraction(c)
         p, q = c.numerator, c.denominator
@@ -231,7 +241,25 @@ def shifted_product_expansion(w: Word, shifts) -> LinearSum:
         for kept, coeff in terms.items():
             longer = kept + (letter,)
             step[longer] = step.get(longer, 0) + q * coeff
-            if p:
-                step[kept] = step.get(kept, 0) - p * coeff
+            step[kept] = step.get(kept, 0) - p * coeff
         terms = step
+    return terms, big_q
+
+
+def _evaluate_centred(w, shifts, f) -> Fraction:
+    """shifted_product_expansion(w, shifts).evaluate(f), with no Fraction per term."""
+    terms, big_q = _centred_terms(w, shifts)
+    num, den = _sum_products(terms, f)
+    return Fraction(num, den * big_q)
+
+
+def shifted_product_expansion(w: Word, shifts) -> LinearSum:
+    """Expansion of prod_i (z_i - c_i) as a word sum.
+
+    `shifts` maps 1-based position -> rational shift (missing = 0).  With
+    c_i = p_i/q_i the product is prod_i (q_i z_i - p_i) / Q, Q = prod_i q_i
+    (`_centred_terms`), and each coefficient is divided by Q once.  A zero
+    shift leaves only the branch that keeps its letter.
+    """
+    terms, big_q = _centred_terms(w, shifts)
     return LinearSum({key: Fraction(coeff, big_q) for key, coeff in terms.items() if coeff})

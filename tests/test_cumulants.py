@@ -646,3 +646,28 @@ def test_subtraction_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_two_letter_projections_enter_no_plain_subtraction(monkeypatch):
+    """A cold conditional_product_theta on a word whose pairs have two letters
+    each asks them only for the conditional cumulant: its subtraction reads no
+    plain cumulant, and in chi-order no block of this word nests in another."""
+    def family():
+        return random_family(random.Random(16), pairs=("a", "b", "c"), max_degree=3,
+                             with_theta=True)
+
+    warm = family()
+    (al, _), (bl, br), (_, cr) = (warm[p].letters for p in "abc")
+    w = (al, al, bl, cr, cr, br)  # in chi-order: al al bl br cr cr
+    for pair, sub in (("a", (al, al)), ("b", (bl, br)), ("c", (cr, cr))):
+        warm[pair].cumulant(sub)
+    expected = conditional_product_theta(warm, w)
+    subtracted = []
+
+    def plain(phi, sub, memo=None):
+        subtracted.append(sub)
+        return kappa_from_phi(phi, sub, memo)
+
+    monkeypatch.setattr(cumulants, "kappa_from_phi", plain)
+    assert conditional_product_theta(family(), w) == expected
+    assert subtracted == []

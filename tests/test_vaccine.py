@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -8,9 +9,11 @@ from bifree import (
     DegenerateCentringError,
     DomainError,
     Letter,
+    LinearSum,
     PerturbedJoint,
     centred_shifts,
     evaluate,
+    load_family,
     maximal_mono_intervals,
     shifted_product_expansion,
     vaccine_reconstruct_moment,
@@ -181,3 +184,25 @@ def test_degenerate_centring_error():
     y = Letter("y", "a", "l")
     with pytest.raises(DegenerateCentringError):
         _centre_interval(zero_oracle, (x, y), random.Random(0))
+
+
+def test_vaccine_layer_builds_no_linear_sum(monkeypatch):
+    """Centring, reconstruction and the property test evaluate the integer form
+    of each centred product: with no LinearSum to build they return the values
+    they returned when every expansion was one."""
+    fam = load_family(os.path.join(os.path.dirname(__file__), "data", "two_pairs.json"))
+    joint = fam.joint()
+    x, y = fam.word("al bl")
+    perturbed = PerturbedJoint(joint, {(x, y): Fraction(1)})
+    w = fam.word("al br bl ar al")
+
+    def refuse(self, terms=None):
+        raise AssertionError("the vaccine layer built a LinearSum")
+
+    monkeypatch.setattr(LinearSum, "__init__", refuse)
+    assert centred_shifts(fam.pures, w, seed=1) == {
+        1: Fraction(1, 2), 2: Fraction(2, 5), 3: Fraction(1), 4: Fraction(0), 5: Fraction(-5, 2)}
+    assert vaccine_reconstruct_moment(fam.pures, w, seed=1) == Fraction(-19, 60)
+    assert vaccine_test(joint, 4, 30, 3).render() == "HOLDS trials=30 skipped=0"
+    assert vaccine_test(perturbed, 4, 30, 3).render() == (
+        "COUNTEREXAMPLE word=al bl al ar shifts=1/2,1,-1/2,2/3 value=-1/3")

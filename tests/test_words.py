@@ -16,6 +16,8 @@ from bifree import (
     words_up_to,
 )
 
+from bifree.words import _centred_terms, _evaluate_centred
+
 from conftest import SWAPS, apply_swaps, commutes
 
 XL = Letter("x", "a", "l")
@@ -217,6 +219,54 @@ def test_shifted_product_expansion_cancels_repeated_letters():
     # (x - 1)(x + 1) = x x - 1: the two one-letter terms cancel and are dropped
     s = shifted_product_expansion((XL, XL), {1: 1, 2: -1})
     assert s.terms == {(XL, XL): Fraction(1), (): Fraction(-1)}
+    # and the integer evaluator does not read the cancelled word
+    reads = []
+    assert _evaluate_centred((XL, XL), {1: 1, 2: -1}, lambda key: reads.append(key) or 3) == 0
+    assert reads == [(XL, XL), ()]
+
+
+def test_zero_shift_extends_every_kept_word():
+    # x (y - 3/2) = (2 x y - 3 x) / 2: the zero shift of x leaves Q = 2
+    terms, big_q = _centred_terms((XL, YR), {1: Fraction(0), 2: Fraction(3, 2)})
+    assert (terms, big_q) == ({(XL, YR): 2, (XL,): -3}, 2)
+    assert _centred_terms((XL, YR), {2: Fraction(3, 2)}) == (terms, big_q)
+    assert _centred_terms((XL, YR, XL), {}) == ({(XL, YR, XL): 1}, 1)
+
+
+# shifts that often repeat with either sign, so that terms of repeated letters cancel
+cancelling_shifts = st.one_of(st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 2))),
+                              shift_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((XL, YR, ZL)), max_size=8).map(tuple),
+       st.dictionaries(st.integers(1, 8), cancelling_shifts), st.data())
+def test_integer_evaluator_reads_and_raises_as_the_expansion(w, shifts, data):
+    """_evaluate_centred gives the value of the public expansion's evaluate,
+    reads the same keys in the same order, and stops at the same missing one."""
+    stop = data.draw(st.one_of(st.none(), st.integers(1, 2 ** len(w))))
+    values = {}
+
+    def run(evaluate):
+        reads = []
+
+        def f(key):
+            reads.append(key)
+            if len(reads) == stop:
+                raise InsufficientDataError(word_text(key))
+            if key not in values:
+                values[key] = data.draw(oracle_values)
+            return values[key]
+
+        try:
+            value = evaluate(f)
+            assert type(value) is Fraction
+        except InsufficientDataError as err:
+            value = ("missing", str(err))
+        return value, reads
+
+    expected = run(shifted_product_expansion(w, shifts).evaluate)
+    assert run(lambda f: _evaluate_centred(w, shifts, f)) == expected
 
 
 def test_words_up_to_order():
