@@ -94,11 +94,13 @@ class BncPartition:
         return self.partition.n
 
 
-def _nc_fold(colour, leaf, ring, top=False):
+def _nc_fold(colour, leaf, ring, top=False, caps=None):
     """Sum over the non-crossing partitions of range(len(colour)) with
     monochromatic blocks of the product of leaf(block of ranks, outer) over
     their blocks.  ring is (one, mul, add, close); None is the absorbing zero,
-    which the fold skips, so mul and add never see it.
+    which the fold skips, so mul and add never see it.  caps maps a colour to
+    the most ranks a block of it may hold: a block at its cap is not extended,
+    so the sum is the uncapped one when every longer block weighs None.
 
     The block of lo splits the ranks lo..hi-1 into its gaps and its tail, which
     are partitioned independently; sums[lo][hi] is that interval's closed sum.
@@ -115,12 +117,20 @@ def _nc_fold(colour, leaf, ring, top=False):
     later = [[j for j in range(i + 1, n) if colour[j] == colour[i]] for i in range(n)]
     lows = [colour.index(c) for c in colour] + [-1]  # per hi, lo stays above this rank
     sums = [[one] * (n + 1) for _ in range(n + 1)]
+    stop = [()] * n  # the growth table of a capped interval: no block grows in its loop
     for hi in range(1, n + 1):
         outer = top and hi == n
         for lo in range(hi - 1, lows[hi], -1):
             acc = None
             # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
-            pending = [((lo,), lo, one)]
+            pending, grow = [((lo,), lo, one)], later
+            if caps and (cap := caps.get(colour[lo])):
+                # every block up to the cap is grown here, and none in the loop below
+                grow = stop
+                for block, last, coeff in pending:
+                    if len(block) < cap:
+                        pending += [(block + (j,), j, mul(coeff, gap)) for j in later[last]
+                                    if j < hi and (gap := sums[last + 1][j]) is not None]
             while pending:
                 block, last, coeff = pending.pop()
                 start = last + 1
@@ -128,7 +138,7 @@ def _nc_fold(colour, leaf, ring, top=False):
                 if tail is not None and (weight := leaf(block, outer)) is not None:
                     term = mul(mul(coeff, tail), weight)
                     acc = term if acc is None else add(acc, term)
-                for j in later[last]:
+                for j in grow[last]:
                     if j >= hi:
                         break
                     if (gap := sums[start][j]) is not None:

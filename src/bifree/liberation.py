@@ -11,9 +11,10 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .bnc import s_chi_permutation
+from .bnc import _nc_fold, s_chi_permutation
+from .cumulants import _chi_order
 from .distributions import BifreeProduct, builtin_semicircular_pair
-from .errors import DomainError, ModeError
+from .errors import DomainError, InsufficientDataError, ModeError
 from .words import Letter, ScanVerdict, TensorSum, chi_of, scan, subword
 
 
@@ -195,7 +196,7 @@ def ubm_moment(n: int) -> ExpPoly:
     c_k / c_{k-1} = -n (n - k) / (k (k + 1)).
     """
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise DomainError(f"n must be nonnegative, got {n}")
     if n == 0:
         return ExpPoly({Fraction(0): (Fraction(1),)})
     coeffs = [Fraction(1)]
@@ -220,16 +221,25 @@ def _fresh_pair_id(pures):
 class ReplacementContext:
     """The pure family with an all-ones semicircular pair adjoined bi-freely.
 
-    Holds the extended product oracle so that scans over many words share
-    moment memos.
+    It holds no product oracle: each expansion is one fold over the pures'
+    cumulants, so scans over many words share memos through the pures.
     """
 
     def __init__(self, pures):
         self.pures = dict(pures)
         self.sem = builtin_semicircular_pair(
             _fresh_pair_id(pures), {"ll": 1, "lr": 1, "rr": 1})
-        self.extended = BifreeProduct({**pures, self.sem.pair: self.sem})
         self.s_letter = {letter.side: letter for letter in self.sem.letters}
+
+
+# cumulants._EXACT truncated at order t: (num0, num1, den, flag) sums the partitions
+# with no semicircular pair block (num0/den) and with one (num1/den); two are dropped.
+_ORDER_T = ((1, 0, 1, True),
+            lambda a, b: (a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[2] * b[2],
+                          b[3] if a[3] is True else a[3]),
+            lambda a, b: (a[0] * b[2] + b[0] * a[2], a[1] * b[2] + b[1] * a[2], a[2] * b[2],
+                          b[3] if a[3] is True else a[3]),
+            lambda a: (a[0] // (g := math.gcd(*a[:3])), a[1] // g, a[2] // g, a[3]))
 
 
 def _expand_tokens(ctx: ReplacementContext, tokens):
@@ -240,15 +250,46 @@ def _expand_tokens(ctx: ReplacementContext, tokens):
     semicircular pair; odd powers of sqrt(t) vanish by the sign-flip
     symmetry, so only single -t/2 picks and paired S picks reach order t.
     The i*i = -1 of a paired pick folds into the coefficient.
+
+    Both orders are one partition sum over the extended product, with each
+    unitary factor as its S letter: a singleton S block weighs 1 (the factor
+    keeps its constant), an S pair block psi_p*psi_q*kappa(S_p S_q) (a pick),
+    and no longer S block is formed.  No pick is read off as a product of moments.
     """
-    c0 = ctx.extended.phi(tuple(t for t in tokens if isinstance(t, Letter)))
-    us = [k for k, t in enumerate(tokens) if not isinstance(t, Letter)]
-    c1 = Fraction(-len(us), 2) * c0
-    for p, q in combinations(us, 2):
-        word = tuple(ctx.s_letter[t[0]] if k in (p, q) else t
-                     for k, t in enumerate(tokens) if k in (p, q) or isinstance(t, Letter))
-        c1 -= tokens[p][1] * tokens[q][1] * ctx.extended.phi(word)
-    return c0, c1
+    word = [t if isinstance(t, Letter) else ctx.s_letter[t[0]] for t in tokens]
+    psi = [0 if isinstance(t, Letter) else t[1] for t in tokens]
+    order = _chi_order(word)
+    if missing := [t.pair for t in tokens if isinstance(t, Letter) and t.pair not in ctx.pures]:
+        raise KeyError(f"no pure distribution for pair {missing[0]!r}")
+    memo = {}
+
+    def leaf(block, outer):
+        if (entry := memo.get(block, memo)) is memo:
+            ps = sorted([order[k] for k in block])
+            sub = tuple([word[p] for p in ps])
+            if not psi[ps[0]]:
+                try:
+                    v = ctx.pures[sub[0].pair].cumulant(sub)
+                    entry = (v.numerator, 0, v.denominator, True) if v else None
+                except InsufficientDataError as err:
+                    entry = (0, 0, 1, err)
+            elif len(ps) == 1:
+                entry = _ORDER_T[0]
+            else:
+                v = psi[ps[0]] * psi[ps[1]] * ctx.sem.cumulant(sub)
+                entry = (0, v.numerator, v.denominator, True) if v else None
+            memo[block] = entry
+        return entry
+
+    num0, num1, den, flag = _nc_fold([word[p].pair for p in order], leaf, _ORDER_T,
+                                     caps={ctx.sem.pair: 2}) or (0, 0, 1, True)
+    if flag is not True:
+        # a pick's missing block lies in c0's partition with the pick split into two
+        # singletons, so c0 is missing an entry too: name the one its own sum meets first
+        BifreeProduct(ctx.pures).phi([t for t in tokens if isinstance(t, Letter)])
+        raise flag
+    c0 = Fraction(num0, den)
+    return c0, Fraction(psi.count(0) - len(tokens), 2) * c0 - Fraction(num1, den)
 
 
 def replacement_expand(pures, w, iota, ctx=None):

@@ -231,6 +231,72 @@ def test_fold_matches_recursive_oracle(colour, top, seed):
         assert got == want
         assert Counter(reads) == Counter(oracle_reads)
 
+# The bottom-up loop as it was before it took caps, kept as the oracle of the
+# order in which the uncapped fold reads its leaves.
+def uncapped_nc_fold(colour, leaf, ring, top=False):
+    one, mul, add, close = ring
+    n = len(colour)
+    later = [[j for j in range(i + 1, n) if colour[j] == colour[i]] for i in range(n)]
+    lows = [colour.index(c) for c in colour] + [-1]
+    sums = [[one] * (n + 1) for _ in range(n + 1)]
+    for hi in range(1, n + 1):
+        outer = top and hi == n
+        for lo in range(hi - 1, lows[hi], -1):
+            acc = None
+            pending = [((lo,), lo, one)]
+            while pending:
+                block, last, coeff = pending.pop()
+                start = last + 1
+                tail = sums[start][hi]
+                if tail is not None and (weight := leaf(block, outer)) is not None:
+                    term = mul(mul(coeff, tail), weight)
+                    acc = term if acc is None else add(acc, term)
+                for j in later[last]:
+                    if j >= hi:
+                        break
+                    if (gap := sums[start][j]) is not None:
+                        pending.append((block + (j,), j, mul(coeff, gap)))
+            sums[lo][hi] = None if acc is None else close(acc)
+    return sums[0][n]
+
+
+def _settled(ring, total):
+    """A fold's sum up to the order of its terms: the value and whether it is
+    missing an entry, or the multiset of partitions."""
+    if total is None or ring is _EXACT:
+        return total and (total[:2], total[2] is True)
+    return Counter(tuple(sorted(p)) for p in total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+           st.lists(st.integers(0, k - 1), max_size=9),
+           st.dictionaries(st.integers(0, k - 1), st.integers(1, 3)))),
+       st.booleans(), st.integers(0, 2**32))
+def test_capped_fold_sums_without_the_blocks_past_the_cap(colour_caps, top, seed):
+    """Capped, the fold never reads a block past its colour's cap and sums what
+    the uncapped fold sums when those blocks weigh zero; with no caps it reads
+    the leaves in the order it read them before it took caps."""
+    colour, caps = colour_caps
+    for ring in (_EXACT, _LISTS):
+        errors, reads, capped_reads, today_reads = {}, [], [], []
+
+        def cut(reads):
+            """The logged leaf, read as zero past the cap."""
+            logged = logged_leaf(seed, ring, errors, reads)
+            def leaf(block, outer):
+                weight = logged(block, outer)
+                return None if len(block) > caps.get(colour[block[0]], 9) else weight
+            return leaf
+
+        want = _nc_fold(colour, cut(reads), ring, top)
+        got = _nc_fold(colour, cut(capped_reads), ring, top, caps)
+        assert _settled(ring, got) == _settled(ring, want)
+        assert all(len(block) <= caps.get(colour[block[0]], 9) for block, _ in capped_reads)
+        assert want == uncapped_nc_fold(colour, cut(today_reads), ring, top)
+        assert reads == today_reads
+
+
 def test_enumerate_bnc_matches_filter():
     rng = random.Random(11)
     for n in (3, 4, 5):

@@ -301,6 +301,12 @@ def test_word_of_the_size_limit_is_taken(capsys):
         2, "", f"error: --word must have at most {WORD_MAX_LEN} letters, got {WORD_MAX_LEN + 1}\n")
 
 
+@pytest.mark.parametrize("t", [(), ("--t", "1")])
+def test_ubm_negative_n_is_a_domain_error(capsys, t):
+    assert run(capsys, "ubm", "--n", "-1", *t) == (
+        2, "", "error: n must be nonnegative, got -1\n")
+
+
 def test_conditional_without_theta_names_the_pair(capsys):
     assert run(capsys, "moment", "--spec", TWO_PAIRS, "--mode", "conditional",
                "--word", "al bl") == (2, "", "error: pair 'a' has no theta layer\n")

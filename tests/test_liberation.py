@@ -3,18 +3,21 @@ import os
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifree import (
     BifreeProduct,
+    CumulantTablePure,
     DomainError,
     ExpPoly,
+    InsufficientDataError,
     Letter,
     ModeError,
     PerturbedJoint,
+    ReplacementContext,
     TensorSum,
     eval_tensor,
     free_delta,
@@ -31,7 +34,15 @@ from bifree import (
 from bifree.bnc import chi_interval, chi_precedes, s_chi_permutation
 from bifree.words import chi_of, eps_of, subword
 
-from conftest import SWAPS, apply_swaps, random_family, random_table_joint, words_up_to
+from conftest import (
+    SWAPS,
+    apply_swaps,
+    rand_fraction,
+    random_family,
+    random_moment_pure,
+    random_table_joint,
+    words_up_to,
+)
 
 
 def test_taur_singleton():
@@ -226,6 +237,8 @@ def test_exp_poly():
 
 
 def test_ubm_moments():
+    with pytest.raises(DomainError):
+        ubm_moment(-1)
     assert ubm_moment(1).render() == "(1) * exp(-1/2*t)"
     assert ubm_moment(2).render() == "(1 - t) * exp(-t)"
     assert ubm_moment(0).render() == "(1)"
@@ -288,6 +301,25 @@ def test_replacement_no_iota_letters():
     assert c1 == 0
 
 
+def test_replacement_names_a_pair_with_no_pure():
+    """Checked before the fold, which would not read a letter whose every
+    partition has a zero block elsewhere."""
+    pures = random_family(random.Random(5), max_degree=4)
+    w = (Letter("z", "zz", "l"), pures["b"].letters[0])
+    with pytest.raises(KeyError, match="no pure distribution for pair 'zz'"):
+        replacement_expand(pures, w, "b")
+
+
+def test_replacement_names_the_entry_that_c0_misses_first():
+    """The fold meets the missing al al al first; the product moment of the
+    letters, which the pairwise loop takes first, meets bl bl bl."""
+    rng = random.Random(3)
+    pures = {p: random_moment_pure(p, rng, max_degree=2) for p in "ab"}
+    al, bl = pures["a"].letters[0], pures["b"].letters[0]
+    with pytest.raises(InsufficientDataError, match="word: bl bl bl$"):
+        replacement_expand(pures, (al, al, al, bl, bl, bl), "a")
+
+
 def test_replacement_two_letter_closed_form():
     rng = random.Random(6)
     pures = random_family(rng, max_degree=4)
@@ -310,3 +342,69 @@ def test_liberation_check_small():
     # a moment table has no pure distributions to conjugate
     with pytest.raises(ModeError):
         liberation_test(random_table_joint(d.letters, rng, max_len=2), "a", 2)
+
+
+def _tokens(w, iota):
+    """Each iota letter x as U_side x U_side^*: (side, psi) with psi = +1 for U_l and
+    U_r^*, -1 for U_l^* and U_r."""
+    tokens = []
+    for letter in w:
+        if letter.pair == iota:
+            psi = 1 if letter.side == "l" else -1
+            tokens += [(letter.side, psi), letter, (letter.side, -psi)]
+        else:
+            tokens.append(letter)
+    return tokens
+
+
+def _expand_pairwise(ctx, tokens):
+    """The expansion one pair of S picks at a time: c0 is the product moment of
+    the letters, and each pair (p, q) of unitary factors adds one product moment
+    of the family with the semicircular pair adjoined, of the letters with S
+    letters at p and q."""
+    extended = BifreeProduct({**ctx.pures, ctx.sem.pair: ctx.sem})
+    c0 = extended.phi(tuple(t for t in tokens if isinstance(t, Letter)))
+    us = [k for k, t in enumerate(tokens) if not isinstance(t, Letter)]
+    c1 = Fraction(-len(us), 2) * c0
+    for p, q in combinations(us, 2):
+        word = tuple(ctx.s_letter[t[0]] if k in (p, q) else t
+                     for k, t in enumerate(tokens) if k in (p, q) or isinstance(t, Letter))
+        c1 -= tokens[p][1] * tokens[q][1] * extended.phi(word)
+    return c0, c1
+
+
+def _random_pure(pair, rng, kind, degree):
+    """A moment table up to degree, or a cumulant table (zero past degree)."""
+    if kind == "moments":
+        return random_moment_pure(pair, rng, max_degree=degree)
+    syms = (f"{pair}l", f"{pair}r")
+    table = {key: rand_fraction(rng) for n in range(1, degree + 1)
+             for key in product(syms, repeat=n)}
+    return CumulantTablePure(pair, syms[:1], syms[1:], None, table)
+
+
+@st.composite
+def expansion_cases(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pures = {pair: _random_pure(pair, rng, draw(st.sampled_from(("moments", "cumulants"))),
+                                draw(st.integers(1, 6))) for pair in "ab"}
+    letters = [letter for pure in pures.values() for letter in pure.letters]
+    w = tuple(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=6)))
+    return pures, w, draw(st.sampled_from("ab"))
+
+
+def _outcome(expand):
+    try:
+        return expand()
+    except InsufficientDataError as err:
+        return InsufficientDataError, err.word_text
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_cases())
+def test_one_fold_matches_pairwise_expansion(case):
+    """Both orders from one fold equal c0 and a product moment per pair of picks,
+    and a missing table entry raises in both or in neither, naming the same word."""
+    pures, w, iota = case
+    want = _outcome(lambda: _expand_pairwise(ReplacementContext(pures), _tokens(w, iota)))
+    assert _outcome(lambda: replacement_expand(pures, w, iota)) == want
