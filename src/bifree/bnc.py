@@ -6,7 +6,9 @@ The chi-order lists left positions ascending, then right positions descending.
 A chi-interval is a contiguous slice of the chi-order.  BNC(chi) is NC(n)
 carried through the chi-order, and `_nc_fold` is the one loop over it, a
 bottom-up sum over chi-order intervals that is generic in the semiring: it
-enumerates and it sums.  Nothing is cached across calls.
+enumerates and it sums.  Only the closed interval sums that a caller passes
+in as `closed` outlive a call: the moment-cumulant subtraction shares them
+across the folds of one pass.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import comb
 
-from .errors import OrderError, SizeError
+from .errors import DomainError, OrderError, SizeError
 from .partitions import (
     MAX_GROUND_SET,
     SetPartition,
@@ -25,17 +27,23 @@ from .partitions import (
 )
 
 
-def _check_chi(chi: str):
-    if not chi or any(c not in "lr" for c in chi):
-        raise ValueError(f"chi must be a nonempty string over 'l'/'r', got {chi!r}")
+def _chi_order(chi) -> list:
+    """The 0-based positions of a chi-map in chi-order: its left positions
+    ascending, then its right positions descending.  chi is any sequence of
+    sides, the empty one included."""
+    n = len(chi)
+    order = [p for p in range(n) if chi[p] == "l"] + [
+        p for p in range(n - 1, -1, -1) if chi[p] == "r"]
+    if len(order) != n:
+        raise DomainError(f"chi must be a string over 'l'/'r', got {''.join(chi)!r}")
+    return order
 
 
 def s_chi_permutation(chi: str):
     """The permutation s_chi: position k holds the k-th element in chi-order."""
-    _check_chi(chi)
-    lefts = [i for i, c in enumerate(chi, 1) if c == "l"]
-    rights = [i for i, c in enumerate(chi, 1) if c == "r"]
-    return tuple(lefts + rights[::-1])
+    if not chi:
+        raise DomainError("chi must be a nonempty string over 'l'/'r', got ''")
+    return tuple([p + 1 for p in _chi_order(chi)])
 
 
 def _ranks(chi: str) -> dict:
@@ -70,7 +78,7 @@ def chi_interval(chi, i, j, left_closed=True, right_closed=True) -> frozenset:
 
 def is_bi_non_crossing(p: SetPartition, chi: str) -> bool:
     """True iff transporting p through the chi-order yields a non-crossing partition."""
-    _check_chi(chi)
+    s_chi_permutation(chi)  # a bad chi is refused before a size mismatch
     if p.n != len(chi):
         raise SizeError(f"partition size {p.n} != chi length {len(chi)}")
     return _crossing_pair(chi, p.blocks) is None
@@ -94,13 +102,15 @@ class BncPartition:
         return self.partition.n
 
 
-def _nc_fold(colour, leaf, ring, top=False, caps=None):
+def _nc_fold(colour, leaf, ring, top=False, caps=None, units=None, closed=None):
     """Sum over the non-crossing partitions of range(len(colour)) with
-    monochromatic blocks of the product of leaf(block of ranks, outer) over
-    their blocks.  ring is (one, mul, add, close); None is the absorbing zero,
-    which the fold skips, so mul and add never see it.  caps maps a colour to
-    the most ranks a block of it may hold: a block at its cap is not extended,
-    so the sum is the uncapped one when every longer block weighs None.
+    monochromatic blocks of the product of leaf(block, outer) over their
+    blocks.  ring is (one, mul, add, close); None is the absorbing zero,
+    which the fold skips, so mul and add never see it.  A block is the sum of
+    units[k] over its ranks k, in rank order; units[k] is (k,) by default, so
+    a block is its tuple of ranks.  caps maps a colour to the most ranks a
+    block of it may hold: a block at its cap is not extended, so the sum is
+    the uncapped one when every longer block weighs None.
 
     The block of lo splits the ranks lo..hi-1 into its gaps and its tail, which
     are partitioned independently; sums[lo][hi] is that interval's closed sum.
@@ -108,42 +118,71 @@ def _nc_fold(colour, leaf, ring, top=False, caps=None):
     and gap a block reads is already closed.  With top, the intervals that end
     at n are the outer ones.  The leaf is read only if the tail is not zero.
     An interval with hi < n is read only within a gap that ends at hi, so it
-    is summed only when a rank of hi's colour precedes lo; later[i] holds the
-    ranks after i of the colour of i.  sums starts as one everywhere: the
-    empty intervals keep it, and every other entry read is written first.
+    is summed only when a rank of hi's colour precedes lo; grow[i] holds the
+    ranks of the colour of i after i and below hi.  sums starts as one
+    everywhere: the empty intervals keep it, and every other entry read is
+    written first.  A product with one itself, an empty gap or tail or the
+    coefficient of a block with no gap yet, is not formed, so mul(one, x)
+    and mul(x, one) must be worth x.
+
+    closed, if given, is a pair of dicts (inner, outer) from the block of all
+    of an interval's ranks to the interval's closed sum, which callers may
+    share across folds, since the sum depends only on those ranks and the
+    kind.  An interval found there is not summed.  On a miss the fold reads
+    the leaf of the interval's full block first, monochromatic or not,
+    because that leaf may close the interval itself, and looks again;
+    otherwise it sums the interval and stores it.
     """
     one, mul, add, close = ring
     n = len(colour)
-    later = [[j for j in range(i + 1, n) if colour[j] == colour[i]] for i in range(n)]
-    lows = [colour.index(c) for c in colour] + [-1]  # per hi, lo stays above this rank
+    if units is None:
+        units = [(k,) for k in range(n)]
+    lows = [*map(colour.index, colour), -1]  # per hi, lo stays above this rank
+    grow = [[] for _ in range(n)]
+    growing = {}  # colour -> the growth lists of its ranks below hi
     sums = [[one] * (n + 1) for _ in range(n + 1)]
     stop = [()] * n  # the growth table of a capped interval: no block grows in its loop
     for hi in range(1, n + 1):
         outer = top and hi == n
+        lists = growing.setdefault(colour[hi - 1], [])
+        for later in lists:
+            later.append(hi - 1)
+        lists.append(grow[hi - 1])
+        if closed:
+            table = closed[outer]
         for lo in range(hi - 1, lows[hi], -1):
+            if closed:
+                whole = units[lo] if lo == hi - 1 else units[lo] + whole
+                if (acc := table.get(whole, table)) is table:
+                    leaf(whole, outer)
+                    acc = table.get(whole, table)
+                if acc is not table:
+                    sums[lo][hi] = acc
+                    continue
             acc = None
-            # Partial blocks holding lo: (ranks, last rank, product of the gap sums).
-            pending, grow = [((lo,), lo, one)], later
+            # Partial blocks holding lo: (block, last rank, product of the gap sums).
+            pending, nexts = [(units[lo], lo, one)], grow
             if caps and (cap := caps.get(colour[lo])):
                 # every block up to the cap is grown here, and none in the loop below
-                grow = stop
-                for block, last, coeff in pending:
-                    if len(block) < cap:
-                        pending += [(block + (j,), j, mul(coeff, gap)) for j in later[last]
-                                    if j < hi and (gap := sums[last + 1][j]) is not None]
+                nexts, level = stop, pending
+                for _ in range(cap - 1):
+                    level = [(block + units[j], j, mul(coeff, gap)) for block, last, coeff in level
+                             for j in grow[last] if (gap := sums[last + 1][j]) is not None]
+                    pending += level
             while pending:
                 block, last, coeff = pending.pop()
-                start = last + 1
-                tail = sums[start][hi]
-                if tail is not None and (weight := leaf(block, outer)) is not None:
-                    term = mul(mul(coeff, tail), weight)
+                row = sums[last + 1]
+                if (tail := row[hi]) is not None and (weight := leaf(block, outer)) is not None:
+                    term = mul(tail if coeff is one else coeff if tail is one
+                               else mul(coeff, tail), weight)
                     acc = term if acc is None else add(acc, term)
-                for j in grow[last]:
-                    if j >= hi:
-                        break
-                    if (gap := sums[start][j]) is not None:
-                        pending.append((block + (j,), j, mul(coeff, gap)))
-            sums[lo][hi] = None if acc is None else close(acc)
+                for j in nexts[last]:
+                    if (gap := row[j]) is not None:
+                        pending.append((block + units[j], j, gap if coeff is one else
+                                        coeff if gap is one else mul(coeff, gap)))
+            sums[lo][hi] = acc = None if acc is None else close(acc)
+            if closed:
+                table[whole] = acc
     return sums[0][n]
 
 
@@ -163,12 +202,11 @@ def enumerate_bnc_leq_eps(chi: str, eps: tuple):
 
 
 def _bnc_fold(chi, eps):
-    _check_chi(chi)
+    order = s_chi_permutation(chi)
     if len(eps) != len(chi):
         raise SizeError(f"eps length {len(eps)} != chi length {len(chi)}")
     if len(chi) > MAX_GROUND_SET:
         raise SizeError(f"chi length {len(chi)} exceeds cap {MAX_GROUND_SET}")
-    order = s_chi_permutation(chi)
 
     def leaf(block, outer):
         return ((tuple(sorted(order[k] for k in block)),),)
@@ -218,10 +256,10 @@ def maximal_mono_intervals(chi: str, eps: tuple):
 
     Returned as tuples in natural increasing order, listed in chi-run order.
     """
-    _check_chi(chi)
+    order = s_chi_permutation(chi)
     if len(eps) != len(chi):
         raise SizeError(f"eps length {len(eps)} != chi length {len(chi)}")
-    runs = groupby(s_chi_permutation(chi), key=lambda elem: eps[elem - 1])
+    runs = groupby(order, key=lambda elem: eps[elem - 1])
     return tuple(tuple(sorted(run)) for _, run in runs)
 
 

@@ -9,16 +9,16 @@ Moments from cumulants and the product sums go through `_nc_sum`, which is
 through the chi-order, so a sum over BNC(chi) is a sum over non-crossing
 partitions of the letters read in chi-order, and the fold splits it at the
 block of the first letter into its gaps and its tail.  The subtraction that
-inverts moments into cumulants, `_subtraction`, runs the same split in one
-pass over the subsets of a word's letters, so that every subword it solves
-shares the interval sums of the others.
+inverts moments into cumulants, `_subtraction`, runs the same fold on every
+subword it solves, in one pass over the subsets of a word's letters, and
+the folds of a pass share their closed interval sums.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-from .bnc import BncPartition, _mobius, _nc_fold, enumerate_bnc
+from .bnc import BncPartition, _chi_order, _mobius, _nc_fold, enumerate_bnc
 from .errors import InsufficientDataError, SizeError
 from .partitions import SetPartition
 from .words import ScanVerdict, chi_of, scan, subword
@@ -36,17 +36,6 @@ _EXACT = ((1, 1, True),
           lambda a: (a[0] // (g := gcd(a[0], a[1])), a[1] // g, a[2]))
 
 
-def _chi_order(w):
-    """The positions of w in chi-order: left letters ascending, then right
-    letters descending."""
-    n = len(w)
-    order = [p for p in range(n) if w[p].side == "l"] + [
-        p for p in range(n - 1, -1, -1) if w[p].side == "r"]
-    if len(order) != n:
-        raise ValueError(f"chi must be a string over 'l'/'r', got {chi_of(w)!r}")
-    return order
-
-
 def _nc_sum(w, weight, top_weight=None, by_pair=False):
     """Sum over pi in BNC(chi_of(w)) of the product of the block weights of pi.
 
@@ -62,7 +51,7 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False):
     The explicit sum, which reads each partition's blocks up to the first 0,
     raises on that partition too.
     """
-    order = _chi_order(w)
+    order = _chi_order(chi_of(w))
     memos = ({}, {})  # block of ranks -> (num, den, flag) or None, per top flag
 
     def leaf(block, top):
@@ -104,20 +93,19 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
     """x(w) = value(w) - sum over non-full pi in BNC(chi) of block weight products.
 
     Every block weighs x; with inner given, inner blocks weigh inner and outer
-    blocks x.  memo holds x, and every x solved on the way goes into it.  A
-    one-letter word has no non-full partition, so there x is value alone.
+    blocks x.  memo holds x, and every x solved on the way goes into it.
 
-    One pass solves every subword the sum reads.  A subword is a set of w's
-    positions, kept as a bitmask, in w's chi-order.  x(S) reads value(S)
-    before the sum, then closes the chi-intervals of S that bnc._nc_fold over
-    S closes, in the same order and with the same block growth: an interval
-    that ends at the end of S is outer, any other inner.  A closed sum
-    depends only on its set and its kind, so the pass keeps it and every
-    later subword reads it.  The fold adds the full block's term last, so an
-    interval whose full block weighs x, once x is solved, is the sum kept
-    for x plus that term.  So the pass reads the same words of value, inner
-    and memo as a fold per subword, keeps the same first missing entry, and
-    recurses only through x, one subword shorter at each level.
+    One pass solves every subword the sum reads, a bitmask of w's positions,
+    each on bnc._nc_fold with the positions' bits as units and one table of
+    closed interval sums for the pass.  x(S) reads value(S), then folds S
+    with its full block weighing zero, and seeds S's closed sum as the fold's
+    sum plus x, which is value(S).  That is what a later fold meeting S as an
+    outer interval would sum, since a fold adds the full block's term last;
+    such a fold reads S's full block first, which solves S, and then reads
+    the seed.  So the pass reads the same words of value, inner and memo as a
+    fold per subword and meets the same first missing entry.  If x(S) raises,
+    S keeps what its fold stored, if anything: that sum carries the error
+    already, and the missing full block would add nothing else.
     """
     if len(w) == 0:
         raise ValueError("cumulants are defined for words of length >= 1")
@@ -125,24 +113,28 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
         memo = {}
     if (v := memo.get(w)) is not None:
         return v
-    chi_bits = [1 << p for p in _chi_order(w)]
+    chi_bits = [1 << p for p in _chi_order(chi_of(w))]
     bit_letters = [(1 << p, letter) for p, letter in enumerate(w)]
-    one, mul, add, close = _EXACT
     # per kind (inner, outer): mask -> block weight entry, and mask -> closed interval sum
     weights = ({}, {}) if inner is not None else ({},) * 2
     closed = ({}, {}) if inner is not None else ({},) * 2
-    tops = {}  # mask -> closed sum over its partitions but the one-block one
 
     def solve(mask, sub):
         p, q = value(sub).as_integer_ratio()  # value - sum, built as one Fraction
-        top = tops[mask] = fold(mask)
-        num, den, flag = top or (0, 1, True)
-        if flag is not True:
-            raise flag
+        top, num, den = None, 0, 1
+        if mask & (mask - 1):  # one letter's only partition is its full block
+            weights[1][mask] = None  # the fold sums every other partition
+            units = [bit for bit in chi_bits if mask & bit]
+            if top := _nc_fold([None] * len(units), weight, _EXACT, True,
+                               units=units, closed=closed):
+                num, den, flag = top
+                if flag is not True:
+                    raise flag
         memo[sub] = v = Fraction(p * den - num * q, q * den)
+        closed[1][mask] = (p, q, True) if v else top  # the sum + x, over every partition
         return v
 
-    def weight(outer, mask):
+    def weight(mask, outer):
         table = weights[outer]
         if (entry := table.get(mask, table)) is table:
             sub = tuple([letter for bit, letter in bit_letters if mask & bit])
@@ -158,52 +150,10 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
             table[mask] = entry
         return entry
 
-    def fold(mask):
-        ranks = [bit for bit in chi_bits if mask & bit]  # mask's letters in chi-order
-        m = len(ranks)
-        prefix = [0]
-        for bit in ranks:
-            prefix.append(prefix[-1] | bit)
-        sums = [[one] * (m + 1) for _ in range(m + 1)]
-        for hi in range(1, m + 1):
-            outer = hi == m
-            table = closed[outer]
-            for lo in range(hi - 1, -1 if outer else 0, -1):
-                if lo == 0:  # the whole word, without its one-block partition
-                    whole, full = mask, None
-                else:
-                    whole = prefix[hi] ^ prefix[lo]
-                    if (acc := table.get(whole, table)) is not table:
-                        sums[lo][hi] = acc
-                        continue
-                    full = weight(outer, whole)  # the last term of the fold, read first
-                    if (outer or inner is None) and (acc := tops.get(whole, tops)) is not tops:
-                        if full is not None:
-                            acc = full if acc is None else close(add(acc, full))
-                        sums[lo][hi] = table[whole] = acc
-                        continue
-                acc = None
-                pending = [(ranks[lo], lo, one)]
-                while pending:
-                    block, last, coeff = pending.pop()
-                    start = last + 1
-                    row = sums[start]
-                    if row[hi] is not None and (leaf := full if block == whole
-                                                else weight(outer, block)) is not None:
-                        term = mul(mul(coeff, row[hi]), leaf)
-                        acc = term if acc is None else add(acc, term)
-                    for j in range(start, hi):
-                        if (gap := row[j]) is not None:
-                            pending.append((block | ranks[j], j, mul(coeff, gap)))
-                sums[lo][hi] = acc = None if acc is None else close(acc)
-                if lo:
-                    table[whole] = acc
-        return sums[0][m]
-
     try:
         return solve((1 << len(w)) - 1, w)
     finally:
-        weight = None  # solve, weight and fold refer to each other: free them on return
+        weight = None  # solve and weight refer to each other: free them on return
 
 
 def kappa_from_phi(phi, w, memo=None) -> Fraction:

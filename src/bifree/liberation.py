@@ -11,8 +11,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .bnc import _nc_fold, s_chi_permutation
-from .cumulants import _chi_order
+from .bnc import _chi_order, _nc_fold, s_chi_permutation
 from .distributions import BifreeProduct, builtin_semicircular_pair
 from .errors import DomainError, InsufficientDataError, ModeError
 from .words import Letter, ScanVerdict, TensorSum, chi_of, scan, subword
@@ -258,7 +257,7 @@ def _expand_tokens(ctx: ReplacementContext, tokens):
     """
     word = [t if isinstance(t, Letter) else ctx.s_letter[t[0]] for t in tokens]
     psi = [0 if isinstance(t, Letter) else t[1] for t in tokens]
-    order = _chi_order(word)
+    order = _chi_order(chi_of(word))
     if missing := [t.pair for t in tokens if isinstance(t, Letter) and t.pair not in ctx.pures]:
         raise KeyError(f"no pure distribution for pair {missing[0]!r}")
     memo = {}

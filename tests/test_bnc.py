@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bifree import (
     BncPartition,
+    DomainError,
     InsufficientDataError,
     Letter,
     OrderError,
@@ -31,7 +32,7 @@ from bifree import (
     refines,
     s_chi_permutation,
 )
-from bifree.bnc import _LISTS, _nc_fold, _ranks
+from bifree.bnc import _LISTS, _chi_order, _nc_fold, _ranks
 from bifree.cumulants import _EXACT
 
 # worked eight-point example: lefts {2,3,4,7}, rights {1,5,6,8},
@@ -64,6 +65,18 @@ def test_s_chi_examples():
     assert s_chi_permutation("lll") == (1, 2, 3)
     assert s_chi_permutation("rr") == (2, 1)
     assert s_chi_permutation(CHI8) == (2, 3, 4, 7, 8, 6, 5, 1)
+
+
+def test_a_bad_chi_is_a_domain_error():
+    """One chi-order for words and chi-maps: the empty chi-map has the empty
+    order, and a side other than l or r is a DomainError, also a ValueError."""
+    assert _chi_order("") == [] and _chi_order("rlr") == [1, 2, 0]
+    for chi in ("lx", "", "l r"):
+        with pytest.raises(DomainError, match="chi must be"):
+            s_chi_permutation(chi)
+    for call in (enumerate_bnc, lambda chi: maximal_mono_intervals(chi, ("a",) * 2)):
+        with pytest.raises(DomainError):
+            call("lx")
 
 
 def test_chi_precedes():
@@ -295,6 +308,29 @@ def test_capped_fold_sums_without_the_blocks_past_the_cap(colour_caps, top, seed
         assert all(len(block) <= caps.get(colour[block[0]], 9) for block, _ in capped_reads)
         assert want == uncapped_nc_fold(colour, cut(today_reads), ring, top)
         assert reads == today_reads
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(st.integers(0, k - 1), min_size=1,
+                                                     max_size=6)),
+       st.booleans(), st.integers(0, 2**32))
+def test_shared_closed_table_gives_the_fresh_fold(colour, top, seed):
+    """Every subset of the ranks, shortest first, folded with its ranks' bits
+    as units and one closed table for all of them, sums what a fresh fold over
+    the subset's ranks sums."""
+    n = len(colour)
+    subsets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+    for ring in (_EXACT, _LISTS):
+        errors, closed = {}, ({}, {})
+        weight = logged_leaf(seed, ring, errors, [])
+        for subset in subsets:
+            sub_colour = [colour[k] for k in subset]
+            got = _nc_fold(sub_colour, lambda mask, outer: weight(
+                               tuple(k for k in range(n) if mask >> k & 1), outer),
+                           ring, top, units=[1 << k for k in subset], closed=closed)
+            want = _nc_fold(sub_colour, lambda block, outer: weight(
+                                tuple(subset[k] for k in block), outer), ring, top)
+            assert got == want
 
 
 def test_enumerate_bnc_matches_filter():

@@ -30,6 +30,7 @@ SEC4 = os.path.join(DATA, "sec4.json")
 CONDITIONAL = os.path.join(DATA, "conditional.json")
 ONE_PAIR = os.path.join(DATA, "one_pair.json")
 MULTI_GEN = os.path.join(DATA, "multi_gen.json")
+DEEP_TABLES = os.path.join(DATA, "deep_tables.json")
 GOLDEN = os.path.join(DATA, "cli_golden.jsonl")
 GOLDEN_SPECS = ("conditional", "perturbed", "sec4", "two_pairs")
 LONG_AL = " ".join(["al"] * 1200)
@@ -130,6 +131,18 @@ def test_moment_modes_agree(capsys):
     code, out, _ = run(capsys, "moment", "--spec", SEC4, "--mode", "vaccine",
                        "--word", "w x y z", "--seed", "5")
     assert code == 0 and out.strip() == expected
+
+
+def test_moment_inverts_degree_five_tables(capsys):
+    """Five letters of each pair over moment and theta tables of degree 5, so
+    each pure's subtraction runs past two letters; the centred reconstruction
+    from pure data is a second route to the bi-free value."""
+    word = "al bl ar br al bl ar br al bl"
+    for mode, expected in (("bifree", "109/144"), ("conditional", "-2495/432")):
+        assert run(capsys, "moment", "--spec", DEEP_TABLES, "--mode", mode,
+                   "--word", word) == (0, expected + "\n", "")
+    assert run(capsys, "moment", "--spec", DEEP_TABLES, "--mode", "vaccine", "--seed", "1",
+               "--word", word) == (0, "109/144\n", "")
 
 
 def test_moment_conditional(capsys):

@@ -583,6 +583,29 @@ def test_subtraction_pass_matches_recursive_oracle_on_seven_letters(conditional)
                 == _subtraction_run(recursive_subtraction, value, inner, w, {}))
 
 
+@pytest.mark.parametrize("conditional", [False, True])
+@pytest.mark.parametrize("missing, named", [(("p", "q", "r"), "r"), (("q r",), "q r")])
+def test_subtraction_pass_rereads_an_interval_whose_solve_raised(missing, named, conditional):
+    """The fold of p q r meets its interval q r, whose leaf starts x(q r), and
+    that raises: through its fold's missing x(r), where every other value is
+    0, or through its own missing value.  The fold then reads the interval
+    again.  The pass raises the recursion's message, which the interval's sum
+    decides, reads the same words and leaves the same memo."""
+    w = tuple(Letter(s, "a", "l") for s in "pqr")
+    primes = iter(_PRIMES)
+    table, inner = (_CoprimeTable(f"raised:{kind}", primes) for kind in ("value", "inner"))
+
+    def value(sub):
+        if (text := word_text(sub)) in missing:
+            raise InsufficientDataError(text)
+        return table(sub) if len(missing) == 1 else Fraction(0)
+
+    inner = inner if conditional else None
+    got = _subtraction_run(cumulants._subtraction, value, inner, w, {})
+    assert got[0] == ("raised", f"insufficient pure data for word: {named}")
+    assert got == _subtraction_run(recursive_subtraction, value, inner, w, {})
+
+
 class _CountingTable(dict):
     """A table that counts the reads of each key."""
 
