@@ -94,7 +94,7 @@ class BncPartition:
     @staticmethod
     def of(partition: SetPartition, chi: str) -> "BncPartition":
         if not is_bi_non_crossing(partition, chi):
-            raise ValueError(f"partition {partition.blocks} is crossing for chi={chi}")
+            raise DomainError(f"partition {partition.blocks} is crossing for chi={chi}")
         return BncPartition(partition, chi)
 
     @property

@@ -14,15 +14,13 @@ from .words import Letter, ScalarWordSum, canonical_word, word_text
 
 
 def _read(table, key):
-    """table[key] as a Fraction, converted on its first read and stored back.
+    """table[key] as a Fraction; the table keeps the value as it was built.
 
     A value may be any exact number that Fraction() takes, such as a checked
     spec literal (an int or a "p/q" string).
     """
     v = table[key]
-    if type(v) is not Fraction:
-        v = table[key] = Fraction(v)
-    return v
+    return v if type(v) is Fraction else Fraction(v)
 
 
 class PureDistribution:
@@ -191,7 +189,6 @@ class BifreeProduct(JointDistribution):
         self.pures = dict(pures)
         self.letters = tuple(l for p in self.pures.values() for l in p.letters)
         self._phi_memo = {}
-        self._theta_memo = {}
 
     def phi(self, w) -> Fraction:
         """The memo is read at w first, and at w's canonical word on a miss."""
@@ -203,18 +200,13 @@ class BifreeProduct(JointDistribution):
         return v
 
     def theta(self, w) -> Fraction:
-        """The theta-moment of w, memoised as phi is; every pair must have a
-        theta layer, and a product of no pairs has none."""
-        if (v := self._theta_memo.get(w := tuple(w))) is None:
-            key = canonical_word(w)
-            if (v := self._theta_memo.get(key)) is None:
-                if not self.pures:
-                    raise ModeError("a product of no pairs has no theta layer")
-                for pure in self.pures.values():
-                    pure.theta(())  # ModeError naming the pair if it has no theta layer
-                v = self._theta_memo[key] = cumulants.conditional_product_theta(self.pures, key)
-            self._theta_memo[w] = v
-        return v
+        """The theta-moment of w, computed at its canonical word on every call;
+        every pair must have a theta layer, and a product of no pairs has none."""
+        if not self.pures:
+            raise ModeError("a product of no pairs has no theta layer")
+        for pure in self.pures.values():
+            pure.theta(())  # ModeError naming the pair if it has no theta layer
+        return cumulants.conditional_product_theta(self.pures, canonical_word(tuple(w)))
 
 
 class TableJoint(JointDistribution):

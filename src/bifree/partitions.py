@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OrderError, SizeError
+from .errors import DomainError, OrderError, SizeError
 
 # Bell(12) ~ 4.2M is the practical enumeration ceiling on a desk machine.
 MAX_GROUND_SET = 12
@@ -31,7 +31,7 @@ class SetPartition:
         blocks = _canonical(tuple(b) for b in blocks if len(tuple(b)) > 0)
         elements = sorted(x for b in blocks for x in b)
         if elements != list(range(1, n + 1)):
-            raise ValueError(f"blocks do not partition 1..{n}: {blocks}")
+            raise DomainError(f"blocks do not partition 1..{n}: {blocks}")
         return SetPartition(n, blocks)
 
     @staticmethod
@@ -143,7 +143,7 @@ def parse_partition(text: str, n: int) -> SetPartition:
     for part in text.split("|"):
         part = part.strip()
         if not part:
-            raise ValueError(f"empty block in partition text: {text!r}")
+            raise DomainError(f"empty block in partition text: {text!r}")
         blocks.append(tuple(int(tok) for tok in part.split()))
     return SetPartition.of(n, blocks)
 

@@ -28,6 +28,7 @@ from bifree import (
     join,
     lattice_mobius,
     maximal_mono_intervals,
+    meet,
     moments_from_cumulants,
     refines,
     s_chi_permutation,
@@ -377,6 +378,25 @@ def test_bnc_join_against_brute_force():
     d = BncPartition(SetPartition.discrete(4), "lrlr")
     for bp in enumerate_bnc("lrlr"):
         assert bnc_join(bp, d).partition == bp.partition
+
+
+def _two_chis():
+    return tuple(BncPartition(SetPartition.discrete(2), chi) for chi in ("ll", "lr"))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: chi_interval("lr", 1, 3), IndexError, "index 3 out of range"),
+    (lambda: enumerate_bnc_leq_eps("lr", ("a",)), SizeError, "eps length 1 != chi length 2"),
+    (lambda: bnc_meet(*_two_chis()), SizeError, "chi maps differ"),
+    (lambda: bnc_join(*_two_chis()), SizeError, "chi maps differ"),
+    (lambda: meet(SetPartition.discrete(2), SetPartition.discrete(3)), SizeError,
+     "sizes differ: 2 != 3"),
+    (lambda: join(SetPartition.discrete(2), SetPartition.discrete(3)), SizeError,
+     "sizes differ: 2 != 3"),
+], ids=["chi-interval-index", "eps-length", "bnc-meet", "bnc-join", "meet", "join"])
+def test_mismatched_arguments_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_join_with_interval_partition_is_plain_join():

@@ -12,10 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifree import (
+    BncPartition,
+    DomainError,
+    ReplacementContext,
+    SetPartition,
     SpecError,
     enumerate_set_partitions,
+    eval_tensor,
     is_bi_non_crossing,
     load_family,
+    parse_partition,
+    replacement_expand,
+    taur,
     ubm_eval,
 )
 from bifree.cli import TRIALS_MAX, UBM_MAX_N, WORD_MAX_LEN, build_parser, main
@@ -116,6 +124,34 @@ def test_bnc_mobius(capsys):
 def test_bnc_bad_chi_exits_2(capsys):
     code, _, _ = run(capsys, "bnc", "enum", "--chi", "lxq")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("bnc", "intervals", "--chi", "ll"),
+    ("bnc", "check", "--chi", "ll"),
+    ("bnc", "blocks", "--chi", "ll"),
+    ("bnc", "mobius", "--chi", "ll"),
+    ("bnc", "mobius", "--chi", "ll", "--lower", "1|2"),
+    ("bnc", "mobius", "--chi", "ll", "--upper", "1 2"),
+], ids=["intervals", "check", "blocks", "mobius", "mobius-lower-only", "mobius-upper-only"])
+def test_bnc_without_its_argument_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: bnc {argv[1]} requires --" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, call", [
+    (("bnc", "blocks", "--chi", "llll", "--pi", "1 3|2 4"),
+     lambda: BncPartition.of(SetPartition.of(4, [(1, 3), (2, 4)]), "llll")),
+    (("bnc", "check", "--chi", "ll", "--pi", "1|3"),
+     lambda: SetPartition.of(2, [(1,), (3,)])),
+    (("bnc", "check", "--chi", "ll", "--pi", "1||2"),
+     lambda: parse_partition("1||2", 2)),
+], ids=["crossing", "not-a-partition", "empty-block"])
+def test_bad_partition_is_a_domain_error(capsys, argv, call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert run(capsys, *argv) == (2, "", f"error: {info.value}\n")
 
 
 def test_moment_modes_agree(capsys):
@@ -397,10 +433,13 @@ def _zero_denominator(spec):
     pytest.param(_first_entry_as(f'"-{LONG_DIGITS}/3"'), marks=NEEDS_DIGIT_LIMIT),
     pytest.param(_first_entry_as(f'"3/{LONG_DIGITS}"'), marks=NEEDS_DIGIT_LIMIT),
     lambda spec: "[" * 100_000,
+    # a valid copy of pair a under another id: each of its symbols is in two pairs
+    lambda spec: dict(spec, pairs=spec["pairs"] + [dict(spec["pairs"][0], id="c")]),
 ], ids=["pairs-not-a-list", "top-level-list", "list-id", "string-max-degree",
         "string-generators", "list-table", "zero-denominator", "list-perturbations",
         "unknown-symbol-key", "other-pair-key", "empty-key", "int-past-digit-limit",
-        "numerator-past-digit-limit", "denominator-past-digit-limit", "deeply-nested"])
+        "numerator-past-digit-limit", "denominator-past-digit-limit", "deeply-nested",
+        "shared-symbol"])
 def test_malformed_spec_is_a_typed_error(capsys, tmp_path, edit):
     """Refused at load, before any entry is read; the CLI exits 2 with an error line."""
     spec = _malformed(edit)
@@ -549,6 +588,31 @@ def test_liberate_command(capsys):
     assert code == 0
     assert out.strip().endswith("MATCH")
     assert out.startswith("c0=")
+
+
+def test_a_pair_named_sem_keeps_the_semicircular_pair_apart(capsys, tmp_path):
+    """The replacement expansion adjoins its semicircular pair under an id that
+    no pair of the family has, so renaming pair a to "sem" changes nothing."""
+    with open(TWO_PAIRS, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    spec["pairs"][0]["id"] = "sem"
+    path = tmp_path / "sem.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    renamed, original = load_family(str(path)), load_family(TWO_PAIRS)
+    assert ReplacementContext(renamed.pures).sem.pair == "sem_"
+    d = renamed.joint()
+    # each word has a block of three pair-a letters, which a cap meant for the
+    # semicircular pair would drop
+    for text in ("al al ar bl", "al ar bl al ar br al"):
+        w = renamed.word(text)
+        for iota, was in (("sem", "a"), ("b", "b")):
+            got = replacement_expand(renamed.pures, w, iota)
+            assert got == replacement_expand(original.pures, original.word(text), was)
+            assert got == (d.phi(w), eval_tensor(d, taur(w, iota)))
+            out = run(capsys, "liberate", "--spec", str(path), "--pair", iota, "--word", text)
+            assert out[1].endswith(", MATCH\n")
+            assert out == run(capsys, "liberate", "--spec", TWO_PAIRS, "--pair", was,
+                              "--word", text)
 
 
 def test_missing_spec_exits_2(capsys):

@@ -18,6 +18,7 @@ from bifree import (
     ModeError,
     MomentTablePure,
     SetPartition,
+    SizeError,
     bifree_product_moment,
     builtin_semicircular_pair,
     chi_of,
@@ -57,8 +58,9 @@ def test_kappa_short_words():
     assert kappa(d, (x, y)) == d.phi((x, y)) - d.phi((x,)) * d.phi((y,))
     assert kappa_via_mobius(d, (x,)) == d.phi((x,))
     assert kappa_via_mobius(d, (x, y)) == kappa(d, (x, y))
-    with pytest.raises(ValueError):
-        kappa(d, ())
+    for route in (kappa, kappa_via_mobius):
+        with pytest.raises(ValueError, match="length >= 1"):
+            route(d, ())
     # plain callables: no ModeError (also a ValueError) can stand in for it
     with pytest.raises(ValueError) as err:
         conditional_kappa_from(lambda w: Fraction(1), lambda w: Fraction(0), ())
@@ -85,6 +87,9 @@ def test_phi_pi():
     disc = BncPartition(SetPartition.discrete(4), chi)
     assert phi_pi(d, full, w) == d.phi(w)
     assert phi_pi(d, disc, w) == d.phi((x,)) ** 2 * d.phi((y,)) ** 2
+    for other in ((x, x, y, y), (x, y, x)):
+        with pytest.raises(SizeError, match="chi"):
+            phi_pi(d, full, other)
 
 
 def test_roundtrip_and_dual_route_small():

@@ -15,9 +15,11 @@ from bifree import (
     InsufficientDataError,
     Letter,
     ModeError,
+    MomentTablePure,
     PerturbedJoint,
     ScalarWordSum,
     SpecError,
+    TableJoint,
     builtin_haar_pair,
     builtin_semicircular_pair,
     evaluate,
@@ -255,6 +257,44 @@ def test_valid_literal_reads_back_exactly(entry, literal):
     assert type(value) is Fraction and value == parse_rational(literal)
 
 
+def test_reads_leave_the_loaded_tables_as_they_were():
+    """moment, cumulant and theta convert the literals they read without
+    storing the results: every .table and .theta_table keeps the values it
+    was loaded with, and their types."""
+    spec = json.loads(json.dumps(LAYERED))
+    spec["pairs"][1]["theta_moments"] = {"y": "2/3", "y y": "-1/2"}
+    fam = load_family(spec)
+
+    def tables():
+        return [[(key, type(v), v) for key, v in table.items()]
+                for pure in fam.pures.values() for table in (pure.table, pure.theta_table)]
+
+    loaded = tables()
+    assert {str} < {kind for table in loaded for _, kind, _ in table}
+    for pure in fam.pures.values():
+        for w in words_up_to(pure.letters, 2):
+            pure.moment(w), pure.cumulant(w), pure.theta(w)
+    d = fam.joint()
+    w = fam.word("x y xr y x")
+    d.phi(w), d.theta(w)
+    assert tables() == loaded
+
+
+def test_absent_entries_and_the_empty_word():
+    """A moment table without a word of its degree, and a joint table without
+    a word, raise naming the word; the empty word has moment 1 and no cumulant."""
+    x, xr = Letter("x", "a", "l"), Letter("xr", "a", "r")
+    pure = MomentTablePure("a", ("x",), ("xr",), 2, {("x",): 1, ("xr",): 0, ("x", "x"): 2})
+    with pytest.raises(InsufficientDataError, match="word: x xr$"):
+        pure.moment((x, xr))
+    joint = TableJoint((x, xr), {(x,): 1})
+    with pytest.raises(InsufficientDataError, match="word: xr$"):
+        joint.phi((xr,))
+    assert pure.moment(()) == 1 == joint.phi(())
+    with pytest.raises(ValueError, match="length >= 1"):
+        pure.cumulant(())
+
+
 def test_load_family_perturbations():
     data = dict(SPEC)
     data["perturbations"] = {"x y": "1/5"}
@@ -317,9 +357,10 @@ _SHARED = BifreeProduct(_theta_family())
 @given(st.lists(st.sampled_from(_SHARED.letters), max_size=5).map(tuple),
        st.lists(SWAPS, min_size=1, max_size=3), st.randoms(use_true_random=False))
 def test_product_memo_never_returns_a_stale_value(w, swap_lists, rnd):
-    """phi and theta read the memo at the word as given before canonicalising
-    it; every rearrangement of w by commutations reads w's value, on the shared
-    product and on a fresh one, in any call order, and list words still work."""
+    """phi reads its memo at the word as given before canonicalising it, and
+    theta computes at the canonical word; every rearrangement of w by
+    commutations reads w's value, on the shared product and on a fresh one, in
+    any call order, and list words still work."""
     fresh = BifreeProduct(_theta_family())
     want = {"phi": fresh.phi(w), "theta": fresh.theta(w)}
     calls = [(method, v) for method in want for v in [w] + [apply_swaps(w, s) for s in swap_lists]]
