@@ -52,6 +52,7 @@ from .errors import (
     OrderError,
     SizeError,
     SpecError,
+    UnknownSymbolError,
 )
 from .liberation import (
     ExpPoly,

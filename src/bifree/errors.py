@@ -33,5 +33,11 @@ class ModeError(BiFreeError, ValueError):
     """Operation requires a distribution layer or mode that is absent."""
 
 
+class UnknownSymbolError(BiFreeError, KeyError):
+    """A word names a symbol that no generator of the family has."""
+
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
+
 class SpecError(BiFreeError, ValueError):
     """A specification file does not have the documented shape."""

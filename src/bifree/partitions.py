@@ -144,7 +144,14 @@ def parse_partition(text: str, n: int) -> SetPartition:
         part = part.strip()
         if not part:
             raise DomainError(f"empty block in partition text: {text!r}")
-        blocks.append(tuple(int(tok) for tok in part.split()))
+        block = []
+        for tok in part.split():
+            try:
+                block.append(int(tok))
+            except ValueError:
+                raise DomainError(f"token {tok!r} is not an integer in partition "
+                                  f"text: {text!r}") from None
+        blocks.append(tuple(block))
     return SetPartition.of(n, blocks)
 
 

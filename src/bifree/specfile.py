@@ -30,7 +30,7 @@ from .distributions import (
     MomentTablePure,
     PerturbedJoint,
 )
-from .errors import SpecError
+from .errors import SpecError, UnknownSymbolError
 
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
@@ -108,7 +108,7 @@ class Family:
         letters = []
         for sym in text.split():
             if sym not in self.by_symbol:
-                raise KeyError(f"unknown symbol {sym!r}")
+                raise UnknownSymbolError(f"unknown symbol {sym!r}")
             letters.append(self.by_symbol[sym])
         return tuple(letters)
 

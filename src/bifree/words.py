@@ -118,15 +118,20 @@ def scan(letters, max_len, failure, mixed_only=True, certified=True) -> ScanVerd
     """Check the words up to max_len over every letter, ordered by (pair, side, symbol).
 
     failure(w) returns the values that show w fails, or None; the scan stops there.
+    failure must take one value per commutation class: it is called on the first
+    spelling of each class, and a later spelling of a class that passed is counted
+    in `checked` without a call.
     """
     letters = sorted(letters, key=lambda l: (l.pair, l.side, l.symbol))
     check_scan(letters, max_len, mixed_only)
     checked = 0
+    passed = set()
     for w in words_up_to(letters, max_len, mixed_only):
         checked += 1
-        values = failure(w)
-        if values:
-            return ScanVerdict(checked, w, values, certified)
+        if (key := canonical_word(w)) not in passed:
+            if values := failure(w):
+                return ScanVerdict(checked, w, values, certified)
+            passed.add(key)
     return ScanVerdict(checked, certified=certified)
 
 

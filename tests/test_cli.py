@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifree import (
+    BiFreeError,
     BncPartition,
     DomainError,
     ReplacementContext,
     SetPartition,
     SpecError,
+    UnknownSymbolError,
     enumerate_set_partitions,
     eval_tensor,
     is_bi_non_crossing,
@@ -147,7 +149,9 @@ def test_bnc_without_its_argument_is_a_usage_error(capsys, argv):
      lambda: SetPartition.of(2, [(1,), (3,)])),
     (("bnc", "check", "--chi", "ll", "--pi", "1||2"),
      lambda: parse_partition("1||2", 2)),
-], ids=["crossing", "not-a-partition", "empty-block"])
+    (("bnc", "check", "--chi", "ll", "--pi", "1|a"),
+     lambda: parse_partition("1|a", 2)),
+], ids=["crossing", "not-a-partition", "empty-block", "non-integer-token"])
 def test_bad_partition_is_a_domain_error(capsys, argv, call):
     with pytest.raises(DomainError) as info:
         call()
@@ -362,9 +366,16 @@ def test_conditional_without_theta_names_the_pair(capsys):
 
 
 def test_unknown_symbol_prints_its_message_unquoted(capsys):
-    # Family.word raises a KeyError, whose str() would wrap the message in quotes
+    # a plain KeyError's str() would wrap the message in quotes
     assert run(capsys, "moment", "--spec", TWO_PAIRS, "--word", "al zz") == (
         2, "", "error: unknown symbol 'zz'\n")
+
+
+def test_unknown_symbol_is_a_typed_key_error():
+    with pytest.raises(UnknownSymbolError) as info:
+        load_family(TWO_PAIRS).word("al zz")
+    assert isinstance(info.value, KeyError) and isinstance(info.value, BiFreeError)
+    assert str(info.value) == "unknown symbol 'zz'"
 
 
 @NEEDS_DIGIT_LIMIT

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,22 @@ from bifree import (
     canonical_word,
     chi_of,
     eps_of,
+    eval_tensor,
+    kappa,
+    load_family,
+    replacement_expand,
     shifted_product_expansion,
     subword,
+    taur,
     word_text,
     words_up_to,
 )
 
-from bifree.words import _centred_terms, _evaluate_centred
+from bifree.words import _centred_terms, _evaluate_centred, scan
 
 from conftest import SWAPS, apply_swaps, commutes
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 XL = Letter("x", "a", "l")
 YR = Letter("y", "b", "r")
@@ -280,3 +288,71 @@ def test_letters_order_as_tuples():
     assert Letter("a", "q", "r") < Letter("b", "p", "l")
     assert Letter("a", "p", "r") > Letter("a", "p", "l")
     assert hash(Letter("a", "p", "l")) == hash(("a", "p", "l"))
+
+
+def _scanned_values(path, w):
+    """What the three exhaustive checks compute on w, each on a freshly loaded family:
+    kappa, then per pair the tensor map and the replacement expansion.  A missing
+    table entry reads as InsufficientDataError."""
+    def fresh(f):
+        fam = load_family(path)
+        try:
+            return f(fam)
+        except InsufficientDataError:
+            return InsufficientDataError
+    values = [fresh(lambda fam: kappa(fam.joint(), w))]
+    for iota in sorted(load_family(path).pures):
+        values.append(fresh(lambda fam: eval_tensor(fam.joint(), taur(w, iota))))
+        values.append(fresh(lambda fam: replacement_expand(fam.pures, w, iota)))
+    return values
+
+
+@pytest.mark.parametrize("spec", ["two_pairs.json", "perturbed.json", "sec4.json"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_commuting_swap_keeps_every_scanned_value(spec, data):
+    """scan checks one spelling per commutation class, which rests on this: swapping
+    an adjacent left and right letter of different pairs changes none of the values.
+    On sec4.json's truncated tables both spellings miss an entry or neither does."""
+    path = os.path.join(DATA, spec)
+    letters = sorted(load_family(path).by_symbol.values())
+    w = data.draw(st.lists(st.sampled_from(letters), max_size=4).map(tuple))
+    k = data.draw(st.integers(0, len(w)))
+    a, b = data.draw(st.sampled_from(
+        [(a, b) for a in letters for b in letters if commutes(a, b)]))
+    values = _scanned_values(path, w[:k] + (a, b) + w[k:])
+    assert _scanned_values(path, w[:k] + (b, a) + w[k:]) == values
+    if spec != "sec4.json":
+        assert InsufficientDataError not in values
+
+
+# scan order puts P (pair a) first, the canonical order puts Q (symbol y) first
+P, Q, R = Letter("z", "a", "l"), Letter("y", "b", "r"), Letter("x", "b", "l")
+
+
+def test_scan_calls_failure_once_per_commutation_class():
+    calls = []
+    verdict = scan((P, Q, R), 3, lambda w: calls.append(w), mixed_only=False)
+    every = list(words_up_to((P, R, Q), 3))
+    assert verdict.holds and verdict.checked == len(every)
+    classes = {canonical_word(w) for w in every}
+    assert len(calls) == len(classes) < len(every)
+    assert {canonical_word(w) for w in calls} == classes
+    # each call is on the first spelling of its class in scan order
+    assert calls == [w for i, w in enumerate(every)
+                     if canonical_word(w) not in map(canonical_word, every[:i])]
+
+
+def test_scan_names_the_first_spelling_of_a_failing_class():
+    failing = canonical_word((P, Q, R))
+    assert failing == (Q, P, R) and len(_commutation_class(failing)) == 2
+    calls = []
+
+    def failure(w):
+        calls.append(w)
+        return {"value": 1} if canonical_word(w) == failing else None
+    verdict = scan((P, Q, R), 3, failure)
+    mixed = list(words_up_to((P, R, Q), 3, mixed_only=True))
+    assert verdict.word == (P, Q, R) == calls[-1]
+    assert verdict.checked == mixed.index((P, Q, R)) + 1
+    assert verdict.render() == "COUNTEREXAMPLE word=z y x value=1"
