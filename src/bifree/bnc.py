@@ -12,7 +12,7 @@ across the folds of one pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, groupby
 from math import comb
 
@@ -84,12 +84,10 @@ def is_bi_non_crossing(p: SetPartition, chi: str) -> bool:
     return _crossing_pair(chi, p.blocks) is None
 
 
-@dataclass(frozen=True)
-class BncPartition:
+class BncPartition(namedtuple("BncPartition", "partition chi")):
     """A set partition remembered together with its chi-map."""
 
-    partition: SetPartition
-    chi: str
+    __slots__ = ()
 
     @staticmethod
     def of(partition: SetPartition, chi: str) -> "BncPartition":

@@ -5,7 +5,7 @@ elements ascending within a block) so they are hashable and comparable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, OrderError, SizeError
 
@@ -19,12 +19,10 @@ def _canonical(blocks) -> Blocks:
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(namedtuple("SetPartition", "n blocks")):
     """A partition of {1..n} into disjoint nonempty blocks covering 1..n."""
 
-    n: int
-    blocks: Blocks
+    __slots__ = ()
 
     @staticmethod
     def of(n: int, blocks) -> "SetPartition":

@@ -11,7 +11,7 @@ which builds no Fraction per expansion term and no `LinearSum`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .bnc import maximal_mono_intervals
@@ -76,14 +76,12 @@ def centred_shifts(pures, w, seed=0) -> dict:
     return shifts
 
 
-@dataclass
-class VaccineVerdict:
-    holds: bool
-    trials: int = 0
-    skipped: int = 0
-    word: tuple = ()
-    shifts: dict = field(default_factory=dict)
-    value: Fraction = Fraction(0)
+class VaccineVerdict(namedtuple("VaccineVerdict", "holds trials skipped word shifts value")):
+    __slots__ = ()
+
+    def __new__(cls, holds, trials=0, skipped=0, word=(), shifts=None, value=Fraction(0)):
+        return super().__new__(cls, holds, trials, skipped, word,
+                               {} if shifts is None else shifts, value)
 
     def render(self) -> str:
         if self.holds:

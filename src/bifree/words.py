@@ -9,7 +9,6 @@ representative of that commutation class, which is what moment tables key on.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -94,13 +93,11 @@ def check_scan(letters, max_len, mixed_only=True):
                           "two pairs and max_len of at least 2)")
 
 
-@dataclass
-class ScanVerdict:
+class ScanVerdict(namedtuple("ScanVerdict", "checked word values certified",
+                             defaults=(None, None, True))):
     """How many words a scan checked and, if one failed, that word and its values."""
-    checked: int
-    word: tuple = None
-    values: dict = None
-    certified: bool = True
+
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

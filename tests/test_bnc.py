@@ -334,6 +334,25 @@ def test_shared_closed_table_gives_the_fresh_fold(colour, top, seed):
             assert got == want
 
 
+@pytest.mark.parametrize("build, fields, text", [
+    (lambda: SetPartition.of(2, [(2, 1)]), ("n", "blocks"),
+     "SetPartition(n=2, blocks=((1, 2),))"),
+    (lambda: BncPartition.of(SetPartition.of(3, [(1, 3), (2,)]), "lrl"), ("partition", "chi"),
+     "BncPartition(partition=SetPartition(n=3, blocks=((1, 3), (2,))), chi='lrl')"),
+], ids=["SetPartition", "BncPartition"])
+def test_partitions_are_frozen_records(build, fields, text):
+    """Equal and hashed by their fields, as memo keys; the hash of the field tuple
+    fixes set and dict order, and so the printed order of every result."""
+    p, rebuilt = build(), build()
+    assert p == rebuilt and p is not rebuilt
+    assert hash(p) == hash(rebuilt) == hash(tuple(getattr(p, f) for f in fields))
+    assert {p: 1}[rebuilt] == 1
+    assert repr(p) == text
+    for f in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, f, None)
+
+
 def test_enumerate_bnc_matches_filter():
     rng = random.Random(11)
     for n in (3, 4, 5):

@@ -700,11 +700,16 @@ def test_reused_parser_keeps_no_state(capsys):
     assert run(capsys, *golden_call(spec, argv))[:2] == (code, out)
 
 
+def src_env():
+    """The environment of a fresh process that imports bifree from src/."""
+    return dict(os.environ, PYTHONIOENCODING="utf-8",
+                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def test_one_shot_process_matches_golden():
     """`python -m bifree.cli` in a fresh process, for the first golden call
     with each exit code."""
-    env = dict(os.environ, PYTHONIOENCODING="utf-8",
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     firsts = {}
     for record in golden_records():
         firsts.setdefault(record[2], record)
@@ -714,6 +719,18 @@ def test_one_shot_process_matches_golden():
                               env=env, capture_output=True, encoding="utf-8", check=False,
                               timeout=120)
         assert (proc.returncode, proc.stdout) == (code, out), argv
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A one-shot run pays for every module `import bifree.cli` loads, and
+    `dataclasses`, with the `inspect` it loads, was the largest cost of that."""
+    script = ("import sys; before = set(sys.modules); import bifree.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(), capture_output=True,
+                          encoding="utf-8", check=True, timeout=120)
+    added = set(proc.stdout.split())
+    assert "bifree.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 def _record_golden():

@@ -60,6 +60,7 @@ def test_refines_examples():
     assert refines(f2, f2)
     p = SetPartition.of(3, [(1, 2), (3,)])
     q = SetPartition.of(3, [(1, 3), (2,)])
+    assert len(p) == 2  # len() counts the blocks
     assert not refines(p, q)
     with pytest.raises(SizeError):
         refines(d2, SetPartition.full(3))

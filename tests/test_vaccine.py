@@ -129,6 +129,9 @@ def test_counterexample_render_format():
                        shifts={1: Fraction(1, 2), 2: Fraction(-2)},
                        value=Fraction(5, 3))
     assert v.render() == "COUNTEREXAMPLE word=x y shifts=1/2,-2 value=5/3"
+    held, other = VaccineVerdict(True), VaccineVerdict(True)
+    assert held.render() == "HOLDS trials=0 skipped=0"
+    assert held.shifts == {} and held.shifts is not other.shifts
 
 
 def test_reconstruction_matches_product():

@@ -22,7 +22,7 @@ from bifree import (
     words_up_to,
 )
 
-from bifree.words import _centred_terms, _evaluate_centred, scan
+from bifree.words import ScanVerdict, _centred_terms, _evaluate_centred, scan
 
 from conftest import SWAPS, apply_swaps, commutes
 
@@ -334,7 +334,9 @@ def test_scan_calls_failure_once_per_commutation_class():
     calls = []
     verdict = scan((P, Q, R), 3, lambda w: calls.append(w), mixed_only=False)
     every = list(words_up_to((P, R, Q), 3))
-    assert verdict.holds and verdict.checked == len(every)
+    assert verdict == ScanVerdict(len(every))
+    assert ScanVerdict(5).holds and ScanVerdict(5).certified
+    assert ScanVerdict(5).render() == "HOLDS checked=5"
     classes = {canonical_word(w) for w in every}
     assert len(calls) == len(classes) < len(every)
     assert {canonical_word(w) for w in calls} == classes
