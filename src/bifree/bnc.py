@@ -188,15 +188,19 @@ def _nc_fold(colour, leaf, ring, top=False, caps=None, units=None, closed=None):
 _LISTS = (((),), lambda a, b: [x + y for x in a for y in b], list.__iadd__, tuple)
 
 
+def bnc_blocks(chi: str) -> list:
+    """The canonical blocks of each partition `enumerate_bnc` lists, in its order."""
+    return sorted(_bnc_fold(chi, (0,) * len(chi)))
+
+
 def enumerate_bnc(chi: str):
     """All bi-non-crossing partitions for chi, in canonical order."""
-    parts = sorted(_bnc_fold(chi, (0,) * len(chi)), key=lambda p: p.blocks)
-    return tuple(BncPartition(p, chi) for p in parts)
+    return tuple(BncPartition(SetPartition(len(chi), blocks), chi) for blocks in bnc_blocks(chi))
 
 
 def enumerate_bnc_leq_eps(chi: str, eps: tuple):
     """Bi-non-crossing partitions for chi whose blocks are all eps-monochromatic."""
-    return tuple(_bnc_fold(chi, eps))
+    return tuple(SetPartition(len(chi), blocks) for blocks in _bnc_fold(chi, eps))
 
 
 def _bnc_fold(chi, eps):
@@ -210,7 +214,7 @@ def _bnc_fold(chi, eps):
         return ((tuple(sorted(order[k] for k in block)),),)
 
     parts = _nc_fold([eps[elem - 1] for elem in order], leaf, _LISTS)
-    return (SetPartition(len(chi), tuple(sorted(blocks))) for blocks in parts)
+    return map(tuple, map(sorted, parts))
 
 
 def _blocks_cross(ranks, a, b) -> bool:
@@ -269,15 +273,8 @@ def classify_blocks(p: BncPartition) -> dict:
     """
     ranks = _ranks(p.chi)
     spans = [(min(ranks[x] for x in b), max(ranks[x] for x in b)) for b in p.partition.blocks]
-    out = {}
-    for i, b in enumerate(p.partition.blocks):
-        lo, hi = spans[i]
-        inner = any(
-            j != i and spans[j][0] < lo and spans[j][1] > hi
-            for j in range(len(spans))
-        )
-        out[b] = "inner" if inner else "outer"
-    return out
+    return {b: "inner" if any(first < lo and last > hi for first, last in spans) else "outer"
+            for b, (lo, hi) in zip(p.partition.blocks, spans)}
 
 
 def bnc_mobius(lower: BncPartition, upper: BncPartition) -> int:

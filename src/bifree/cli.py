@@ -1,20 +1,21 @@
 """Command-line surface: combinatorial queries, moments, property checks.
 
 Exit codes: 0 = success / property holds, 1 = counterexample found,
-2 = usage or data error.  All output is line-oriented and byte-stable under
-fixed flags and seed.
+2 = usage or data error, 3 = internal error (a fault of the program).  All
+output is line-oriented and byte-stable under fixed flags and seed.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import sys
+from itertools import chain
 
 from .bnc import (
     BncPartition,
+    bnc_blocks,
     bnc_mobius,
     classify_blocks,
-    enumerate_bnc,
     is_bi_non_crossing,
     maximal_mono_intervals,
 )
@@ -29,7 +30,7 @@ from .liberation import (
     ubm_eval,
     ubm_moment,
 )
-from .partitions import format_partition, parse_partition
+from .partitions import parse_partition
 from .specfile import load_family
 from .vaccine import vaccine_reconstruct_moment, vaccine_test
 
@@ -39,7 +40,7 @@ from .vaccine import vaccine_reconstruct_moment, vaccine_test
 UBM_MAX_N = 3000
 # `--word` above this many letters exits 2 before any work.  The limit guards
 # time: words far shorter are out of reach, since `moment --spec
-# tests/data/two_pairs.json` on 20 letters `al` took 3.4-3.9 s of CPU, and two
+# tests/data/two_pairs.json` on 20 letters `al` took 3.3-3.9 s of CPU, and two
 # more letters about 4.5 times as long (three runs each; see the README).
 WORD_MAX_LEN = 500
 # `check --method vaccine --trials` above this exits 2 before any work.  A
@@ -70,8 +71,10 @@ def _pair(fam, pair):
 def cmd_bnc(args) -> int:
     chi = args.chi
     if args.action == "enum":
-        for bp in enumerate_bnc(chi):
-            print(format_partition(bp.partition))
+        # format_partition's lines, each distinct block formatted once
+        parts = bnc_blocks(chi)
+        names = {b: " ".join(map(str, b)) for b in set(chain.from_iterable(parts))}
+        print("\n".join(["|".join(map(names.__getitem__, blocks)) for blocks in parts]))
     elif args.action == "intervals":
         eps = _parse_eps(args.eps)
         for interval in maximal_mono_intervals(chi, eps):
@@ -239,11 +242,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (BiFreeError, ValueError, KeyError, OSError) as exc:
-        # str() of a one-argument KeyError is the repr of its message
-        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (BiFreeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

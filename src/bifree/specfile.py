@@ -13,9 +13,9 @@ expresses the table-with-perturbation mode.
 A file of any other shape raises SpecError, and so does a file that is not
 JSON or nests too deeply to decode.  Every key and value is checked at load,
 but a pure's table keeps each value as the literal it was written as: the
-pure distribution converts an entry to a Fraction the first time it reads it,
-so a query pays only for the entries it reads.  The perturbations, all of
-which the joint reads, are Fractions from the start.
+pure distribution converts an entry to a Fraction each time it reads it and
+stores nothing back, so a query pays only for the entries it reads.  The
+perturbations, all of which the joint reads, are Fractions from the start.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .distributions import (
     BifreeProduct,
@@ -41,6 +42,8 @@ _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
 # digits (sys.int_info.str_digits_check_threshold).
 _SAFE_LITERAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?", re.ASCII)
 _SAFE_LENGTH = 640
+# safe literals joined by newlines, which no literal holds
+_SAFE_LITERALS = re.compile(rf"{_SAFE_LITERAL.pattern}(?:\n{_SAFE_LITERAL.pattern})*", re.ASCII)
 
 
 def parse_rational(v) -> Fraction:
@@ -70,9 +73,23 @@ def _literal(v):
 
 
 def _parse_table(mapping, what, symbols):
-    """A table whose keys are nonempty words over `symbols`, with checked literals."""
+    """A table whose keys are nonempty words over `symbols`, with checked literals.
+
+    One check in C passes a table that `_literal` keeps as it is; the loop over
+    the entries converts any other and raises for its first bad entry."""
     if not isinstance(mapping, dict):
         raise SpecError(f"{what} must be an object, got {type(mapping).__name__}")
+    values = mapping.values()
+    try:  # a key that is not a string, or an int past the digit limit, is left to the loop
+        keys = [*map(tuple, map(str.split, mapping))]
+        texts = [*map(str, values)] if {int, str}.issuperset(map(type, values)) else ()
+    except (TypeError, ValueError):
+        keys = texts = ()
+    joined = "\n".join(texts)
+    if (joined.count("\n") == len(texts) - 1 and () not in keys
+            and symbols.issuperset(chain.from_iterable(keys))
+            and max(map(len, texts)) <= _SAFE_LENGTH and _SAFE_LITERALS.fullmatch(joined)):
+        return dict(zip(keys, values))
     table = {}
     for text, v in mapping.items():
         key = tuple(text.split())
@@ -162,12 +179,8 @@ def load_family(source) -> Family:
         has_m, has_c = "moments" in spec, "cumulants" in spec
         if has_m == has_c:
             raise SpecError(f"pair {pair!r} needs exactly one of moments/cumulants")
-        if has_m:
-            pures[pair] = MomentTablePure(
-                pair, left, right, max_degree, table("moments"), theta_table=theta)
-        else:
-            pures[pair] = CumulantTablePure(
-                pair, left, right, max_degree, table("cumulants"), theta_table=theta)
+        kind, name = (MomentTablePure, "moments") if has_m else (CumulantTablePure, "cumulants")
+        pures[pair] = kind(pair, left, right, max_degree, table(name), theta_table=theta)
 
     symbols = {letter.symbol for pure in pures.values() for letter in pure.letters}
     # joint() reads every delta, so the perturbations are converted here

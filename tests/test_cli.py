@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,8 +20,10 @@ from bifree import (
     SetPartition,
     SpecError,
     UnknownSymbolError,
+    enumerate_bnc,
     enumerate_set_partitions,
     eval_tensor,
+    format_partition,
     is_bi_non_crossing,
     load_family,
     parse_partition,
@@ -76,6 +79,19 @@ def test_bnc_enum_prints_brute_force_bnc(capsys):
             blocks = sorted(p.blocks for p in parts if is_bi_non_crossing(p, chi))
             want = "".join("|".join(" ".join(map(str, b)) for b in bs) + "\n" for bs in blocks)
             assert run(capsys, "bnc", "enum", "--chi", chi) == (0, want, "")
+
+
+def test_bnc_enum_prints_format_partition_over_enumerate_bnc(capsys):
+    # sampled chis of 6 to 11 positions; from 10 positions on, the blocks
+    # sort as integers, which is not the order of the printed text
+    rng = random.Random(6)
+    for n in range(6, 12):
+        chi = "".join(rng.choice("lr") for _ in range(n))
+        want = [format_partition(bp.partition) for bp in enumerate_bnc(chi)]
+        code, out, err = run(capsys, "bnc", "enum", "--chi", chi)
+        assert (code, out, err) == (0, "".join(line + "\n" for line in want), ""), chi
+        as_text = [[block.split() for block in line.split("|")] for line in want]
+        assert (as_text == sorted(as_text)) == (n < 10), chi
 
 
 def test_bnc_check(capsys):
@@ -624,6 +640,18 @@ def test_a_pair_named_sem_keeps_the_semicircular_pair_apart(capsys, tmp_path):
             assert out[1].endswith(", MATCH\n")
             assert out == run(capsys, "liberate", "--spec", TWO_PAIRS, "--pair", was,
                               "--word", text)
+
+
+@pytest.mark.parametrize("fault", [KeyError("boom"), ValueError("boom")])
+def test_a_fault_of_the_program_exits_3(capsys, monkeypatch, fault):
+    """An exception that is neither a BiFreeError nor an OSError is a fault of
+    the program, not of its input: one `internal error:` line and exit 3."""
+    def broken(source):
+        raise fault
+    monkeypatch.setattr("bifree.cli.load_family", broken)
+    code, out, err = run(capsys, "moment", "--spec", TWO_PAIRS, "--word", "al")
+    assert (code, out) == (3, "")
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
 def test_missing_spec_exits_2(capsys):

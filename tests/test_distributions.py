@@ -280,6 +280,43 @@ def test_reads_leave_the_loaded_tables_as_they_were():
     assert tables() == loaded
 
 
+def _with_moments(table):
+    """SPEC with pair a's moments table replaced by table."""
+    spec = json.loads(json.dumps(SPEC))
+    spec["pairs"][0]["moments"] = table
+    return spec
+
+
+BAD_VALUE = "rationals must be integers or 'p/q' strings, got "
+
+
+@pytest.mark.parametrize("table, message", [
+    # a newline joins the values that the load checks in one pass
+    ({"x": 1, "x x": "1\n2", "xr": "2"}, BAD_VALUE + "'1\\n2'"),
+    ({"x": 1, "xr": True}, BAD_VALUE + "True"),
+    ({"x": "1.5", "x q": 1}, BAD_VALUE + "'1.5'"),
+    ({"x q": 1, "x": "1.5"}, "pair 'a' moments key 'x q' is not a word over ['x', 'xr']"),
+], ids=["newline-in-value", "true", "bad-value-first", "bad-key-first"])
+def test_a_table_is_refused_at_its_first_bad_entry(table, message):
+    """Every value and key of a table is checked at load, and the error names
+    the first bad entry in the table's order."""
+    with pytest.raises(SpecError) as info:
+        load_family(_with_moments(table))
+    assert str(info.value) == message
+
+
+def test_a_table_of_ints_and_spaced_keys_loads_as_written():
+    """Keys are split on whitespace, a later spelling of a key overrides an
+    earlier one in its place, and ints and short literals are kept as written."""
+    table = {"x": 3, " x \t xr ": "1/2", "x  x": 2, "x xr": -4, "xr": 0}
+    assert list(load_family(_with_moments(table)).pures["a"].table.items()) == [
+        (("x",), 3), (("x", "xr"), -4), (("x", "x"), 2), (("xr",), 0)]
+    ints = {text: len(text) for text in SPEC["pairs"][0]["moments"]}
+    loaded = load_family(_with_moments(ints)).pures["a"].table
+    assert list(loaded.items()) == [(tuple(text.split()), v) for text, v in ints.items()]
+    assert {type(v) for v in loaded.values()} == {int}
+
+
 def test_absent_entries_and_the_empty_word():
     """A moment table without a word of its degree, and a joint table without
     a word, raise naming the word; the empty word has moment 1 and no cumulant."""
