@@ -50,8 +50,10 @@ from .errors import (
     InsufficientDataError,
     ModeError,
     OrderError,
+    PositionError,
     SizeError,
     SpecError,
+    UnknownPairError,
     UnknownSymbolError,
 )
 from .liberation import (

@@ -16,7 +16,7 @@ from collections import namedtuple
 from itertools import combinations, groupby
 from math import comb
 
-from .errors import DomainError, OrderError, SizeError
+from .errors import DomainError, OrderError, PositionError, SizeError
 from .partitions import (
     MAX_GROUND_SET,
     SetPartition,
@@ -55,7 +55,7 @@ def chi_precedes(chi: str, i: int, j: int) -> bool:
     """True iff i strictly precedes j in chi-order."""
     ranks = _ranks(chi)
     if i not in ranks or j not in ranks:
-        raise IndexError(f"index out of range for chi of length {len(chi)}")
+        raise PositionError(f"index out of range for chi of length {len(chi)}")
     return ranks[i] < ranks[j]
 
 
@@ -68,7 +68,7 @@ def chi_interval(chi, i, j, left_closed=True, right_closed=True) -> frozenset:
     ranks = _ranks(chi)
     for end in (i, j):
         if end is not None and end not in ranks:
-            raise IndexError(f"index {end} out of range")
+            raise PositionError(f"index {end} out of range")
     if i is not None and j is not None and ranks[i] > ranks[j]:
         raise OrderError(f"{j} chi-precedes {i}")
     lo = 0 if i is None else ranks[i] + (0 if left_closed else 1)

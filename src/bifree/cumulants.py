@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bnc import BncPartition, _chi_order, _mobius, _nc_fold, enumerate_bnc
-from .errors import InsufficientDataError, SizeError
+from .errors import InsufficientDataError, SizeError, UnknownPairError
 from .partitions import SetPartition
 from .words import ScanVerdict, chi_of, scan, subword
 
@@ -108,7 +108,7 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
     already, and the missing full block would add nothing else.
     """
     if len(w) == 0:
-        raise ValueError("cumulants are defined for words of length >= 1")
+        raise SizeError("cumulants are defined for words of length >= 1")
     if memo is None:
         memo = {}
     if (v := memo.get(w)) is not None:
@@ -177,7 +177,7 @@ def cumulant_test(d, max_len) -> ScanVerdict:
 def kappa_via_mobius(d, w) -> Fraction:
     """Same value as kappa, via Mobius inversion: sum_pi mu(pi, full) phi_pi."""
     if len(w) == 0:
-        raise ValueError("cumulants are defined for words of length >= 1")
+        raise SizeError("cumulants are defined for words of length >= 1")
     chi = chi_of(w)
     full = SetPartition.full(len(w))
     # mu(pi, full) is never 0 on a non-crossing lattice, so phi_pi reads what is needed
@@ -217,7 +217,7 @@ def _solve_projections(pures, w, conditional):
         projections.setdefault(letter.pair, []).append(letter)
     for pair in projections:
         if pair not in pures:
-            raise KeyError(f"no pure distribution for pair {pair!r}")
+            raise UnknownPairError(f"no pure distribution for pair {pair!r}")
     for pair, letters in projections.items():
         if len(letters) > 1:
             pure, sub = pures[pair], tuple(letters)

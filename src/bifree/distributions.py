@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import cumulants
-from .errors import DomainError, InsufficientDataError, ModeError
+from .errors import DomainError, InsufficientDataError, ModeError, SizeError
 from .words import Letter, ScalarWordSum, canonical_word, word_text
 
 
@@ -62,7 +62,7 @@ class PureDistribution:
 
     def cumulant(self, w) -> Fraction:
         if len(w) == 0:
-            raise ValueError("cumulants need length >= 1")
+            raise SizeError("cumulants need length >= 1")
         if (v := self._cumulant_memo.get(w)) is None:
             v = self._cumulant_memo[w] = self._raw_cumulant(w)
         return v

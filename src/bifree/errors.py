@@ -39,5 +39,15 @@ class UnknownSymbolError(BiFreeError, KeyError):
     __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
 
 
+class UnknownPairError(BiFreeError, KeyError):
+    """A letter names a pair that has no pure distribution."""
+
+    __str__ = Exception.__str__
+
+
+class PositionError(BiFreeError, IndexError):
+    """A position lies outside the word or chi it indexes."""
+
+
 class SpecError(BiFreeError, ValueError):
     """A specification file does not have the documented shape."""

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .bnc import _chi_order, _nc_fold, s_chi_permutation
 from .distributions import BifreeProduct, builtin_semicircular_pair
-from .errors import DomainError, InsufficientDataError, ModeError
+from .errors import DomainError, InsufficientDataError, ModeError, UnknownPairError
 from .words import Letter, ScanVerdict, TensorSum, chi_of, scan, subword
 
 
@@ -259,7 +259,7 @@ def _expand_tokens(ctx: ReplacementContext, tokens):
     psi = [0 if isinstance(t, Letter) else t[1] for t in tokens]
     order = _chi_order(chi_of(word))
     if missing := [t.pair for t in tokens if isinstance(t, Letter) and t.pair not in ctx.pures]:
-        raise KeyError(f"no pure distribution for pair {missing[0]!r}")
+        raise UnknownPairError(f"no pure distribution for pair {missing[0]!r}")
     memo = {}
 
     def leaf(block, outer):

@@ -16,6 +16,9 @@ but a pure's table keeps each value as the literal it was written as: the
 pure distribution converts an entry to a Fraction each time it reads it and
 stores nothing back, so a query pays only for the entries it reads.  The
 perturbations, all of which the joint reads, are Fractions from the start.
+A pair's moments or cumulants whose keys are its theta_moments keys in the
+same order, each a different word, take the theta table's words as keys:
+those key texts are split and checked once, and every value is checked.
 """
 from __future__ import annotations
 
@@ -72,27 +75,34 @@ def _literal(v):
     return parse_rational(v)
 
 
-def _parse_table(mapping, what, symbols):
+def _parse_table(mapping, what, symbols, texts=(), words=()):
     """A table whose keys are nonempty words over `symbols`, with checked literals.
 
     One check in C passes a table that `_literal` keeps as it is; the loop over
-    the entries converts any other and raises for its first bad entry."""
+    the entries converts any other and raises for its first bad entry.  When
+    the keys are `texts` in their order and `words` holds one word per text,
+    as a table parsed from `texts` over `symbols` does, its words are the keys."""
     if not isinstance(mapping, dict):
         raise SpecError(f"{what} must be an object, got {type(mapping).__name__}")
     values = mapping.values()
-    try:  # a key that is not a string, or an int past the digit limit, is left to the loop
-        keys = [*map(tuple, map(str.split, mapping))]
-        texts = [*map(str, values)] if {int, str}.issuperset(map(type, values)) else ()
-    except (TypeError, ValueError):
-        keys = texts = ()
-    joined = "\n".join(texts)
-    if (joined.count("\n") == len(texts) - 1 and () not in keys
-            and symbols.issuperset(chain.from_iterable(keys))
-            and max(map(len, texts)) <= _SAFE_LENGTH and _SAFE_LITERALS.fullmatch(joined)):
+    types = {*map(type, values)}
+    reuse = len(words) == len(texts) and [*mapping] == [*texts]
+    # `_literal` keeps every int as it is, so only the strings are matched
+    strings = values if types <= {str} else [v for v in values if type(v) is str]
+    joined = "\n".join(strings)
+    try:  # a key that is not a string is left to the loop
+        keys = [*words] if reuse else [*map(tuple, map(str.split, mapping))]
+    except TypeError:
+        keys = [()]  # which the key check refuses
+    if (types <= {int, str}
+            and (reuse or () not in keys and symbols.issuperset(chain.from_iterable(keys)))
+            and (not strings or joined.count("\n") == len(strings) - 1
+                 and (len(joined) <= _SAFE_LENGTH or max(map(len, strings)) <= _SAFE_LENGTH)
+                 and _SAFE_LITERALS.fullmatch(joined))):
         return dict(zip(keys, values))
     table = {}
     for text, v in mapping.items():
-        key = tuple(text.split())
+        key = tuple(text.split()) if isinstance(text, str) else ()
         if not key or not symbols.issuperset(key):
             raise SpecError(f"{what} key {text!r} is not a word over {sorted(symbols)}")
         table[key] = _literal(v)
@@ -173,14 +183,18 @@ def load_family(source) -> Family:
         max_degree = spec.get("max_degree")
         if max_degree is not None and (type(max_degree) is not int or max_degree < 0):
             raise SpecError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
-        def table(name):
-            return _parse_table(spec[name], f"pair {pair!r} {name}", set(left + right))
+        def table(name, texts=(), words=()):
+            return _parse_table(
+                spec[name], f"pair {pair!r} {name}", set(left + right), texts, words)
         theta = table("theta_moments") if "theta_moments" in spec else None
         has_m, has_c = "moments" in spec, "cumulants" in spec
         if has_m == has_c:
             raise SpecError(f"pair {pair!r} needs exactly one of moments/cumulants")
         kind, name = (MomentTablePure, "moments") if has_m else (CumulantTablePure, "cumulants")
-        pures[pair] = kind(pair, left, right, max_degree, table(name), theta_table=theta)
+        # the table often lists the theta table's words, which it then shares
+        pures[pair] = kind(pair, left, right, max_degree,
+                           table(name, spec.get("theta_moments", ()), theta or ()),
+                           theta_table=theta)
 
     symbols = {letter.symbol for pure in pures.values() for letter in pure.letters}
     # joint() reads every delta, so the perturbations are converted here

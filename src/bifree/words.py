@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, PositionError, SizeError
 
 
 class Letter(namedtuple("Letter", "symbol pair side")):
@@ -23,7 +23,7 @@ class Letter(namedtuple("Letter", "symbol pair side")):
 
     def __new__(cls, symbol, pair, side):
         if side not in ("l", "r"):
-            raise ValueError(f"side must be 'l' or 'r', got {side!r}")
+            raise DomainError(f"side must be 'l' or 'r', got {side!r}")
         return super().__new__(cls, symbol, pair, side)
 
 
@@ -47,7 +47,7 @@ def subword(w: Word, indices) -> Word:
     n = len(w)
     idx = sorted(indices)
     if idx and not (1 <= idx[0] and idx[-1] <= n):
-        raise IndexError(f"indices {idx} out of range for word of length {n}")
+        raise PositionError(f"indices {idx} out of range for word of length {n}")
     return tuple(w[i - 1] for i in idx)
 
 

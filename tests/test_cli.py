@@ -654,6 +654,20 @@ def test_a_fault_of_the_program_exits_3(capsys, monkeypatch, fault):
     assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
+def test_each_call_reads_its_spec_afresh(capsys, tmp_path):
+    """A second main call in the same process sees a value rewritten in the
+    spec file after the first call: nothing of a load outlives its call."""
+    with open(DEEP_TABLES, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    path = tmp_path / "deep_tables.json"
+    path.write_text(json.dumps(spec))
+    argv = ("moment", "--spec", str(path), "--mode", "bifree", "--word", "al")
+    assert run(capsys, *argv) == (0, "1\n", "")
+    spec["pairs"][0]["moments"]["al"] = "5/7"
+    path.write_text(json.dumps(spec))
+    assert run(capsys, *argv) == (0, "5/7\n", "")
+
+
 def test_missing_spec_exits_2(capsys):
     code, _, _ = run(capsys, "moment", "--spec", "/does/not/exist.json",
                      "--mode", "bifree", "--word", "al")

@@ -64,7 +64,7 @@ def test_kappa_short_words():
     # plain callables: no ModeError (also a ValueError) can stand in for it
     with pytest.raises(ValueError) as err:
         conditional_kappa_from(lambda w: Fraction(1), lambda w: Fraction(0), ())
-    assert type(err.value) is ValueError
+    assert type(err.value) is SizeError
 
 
 def test_semicircular_fourth_cumulant_vanishes():

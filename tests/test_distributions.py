@@ -1,12 +1,14 @@
 import io
 import itertools
 import json
+import operator
+import os
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bifree import (
     BiFreeError,
@@ -17,15 +19,25 @@ from bifree import (
     ModeError,
     MomentTablePure,
     PerturbedJoint,
+    PositionError,
     ScalarWordSum,
+    SizeError,
     SpecError,
     TableJoint,
+    UnknownPairError,
+    bifree_product_moment,
     builtin_haar_pair,
     builtin_semicircular_pair,
+    chi_interval,
+    chi_precedes,
     evaluate,
     evaluate_theta,
+    kappa,
+    kappa_via_mobius,
     load_family,
     parse_rational,
+    replacement_expand,
+    subword,
     words_up_to,
 )
 
@@ -315,6 +327,146 @@ def test_a_table_of_ints_and_spaced_keys_loads_as_written():
     loaded = load_family(_with_moments(ints)).pures["a"].table
     assert list(loaded.items()) == [(tuple(text.split()), v) for text, v in ints.items()]
     assert {type(v) for v in loaded.values()} == {int}
+
+
+GOOD_KEYS = ["x", "xr", "x x", "x  x", " x\txr ", "xr x x"]
+GOOD_LITERALS = st.integers(-3, 3) | st.sampled_from(["1/2", "-3", "+0/7", "007"])
+BAD_LITERALS = st.sampled_from([1.5, True, None, "1.5", "1/0", "1\n2"])
+
+
+def _literals(clean):
+    return GOOD_LITERALS if clean else GOOD_LITERALS | BAD_LITERALS
+
+
+@st.composite
+def paired_tables(draw):
+    """A one-pair spec whose moment or cumulant table has the key texts of
+    its theta table in the same order, reordered, or drawn on their own; the
+    theta table, if any, may spell one word twice ("x x" and "x  x").  Each
+    table holds no bad key or value half the time, so that most loads get
+    past the theta table."""
+    def tables(clean):
+        keys = st.sampled_from(GOOD_KEYS + ([] if clean else ["x q", ""]))
+        return st.dictionaries(keys, _literals(clean), max_size=6)
+
+    theta = draw(st.none() | st.booleans().flatmap(tables))
+    how = draw(st.sampled_from(["same", "reordered", "own"]))
+    if theta is None or how == "own":
+        table = draw(st.booleans().flatmap(tables))
+    else:
+        texts = [*theta] if how == "same" else draw(st.permutations([*theta]))
+        literals = _literals(draw(st.booleans()))
+        table = {text: draw(literals) for text in texts}
+    name = draw(st.sampled_from(["moments", "cumulants"]))
+    pair = {"id": "a", "left_generators": ["x"], "right_generators": ["xr"], name: table}
+    if theta is not None:
+        pair["theta_moments"] = theta
+    return {"pairs": [pair]}
+
+
+def _tables_entry_by_entry(spec):
+    """(table, theta table) of the spec's one pair, each entry checked on its
+    own in the table's order, the theta table first."""
+    pair = spec["pairs"][0]
+
+    def table(name):
+        out = {}
+        for text, v in pair[name].items():
+            key = tuple(text.split())
+            if not key or not {"x", "xr"}.issuperset(key):
+                raise SpecError(f"pair 'a' {name} key {text!r} is not a word over ['x', 'xr']")
+            parse_rational(v)
+            out[key] = v
+        return out
+
+    theta = table("theta_moments") if "theta_moments" in pair else None
+    return table("moments" if "moments" in pair else "cumulants"), theta
+
+
+def _pair_a(**tables):
+    return {"pairs": [dict(id="a", left_generators=["x"], right_generators=["xr"], **tables)]}
+
+
+@given(paired_tables())
+@example(_pair_a(theta_moments={"x x": 1, "x  x": 2, "x": 3},
+                 moments={"x x": 4, "x  x": 5, "x": 6}))
+@example(_pair_a(theta_moments={"x": 1, "xr": 2}, cumulants={"xr": 3, "x": 4}))
+@example(_pair_a(theta_moments={"x": 1, "xr": 2}, moments={"x": 3, "xr": "1.5"}))
+@example(_pair_a(theta_moments={"x": "1", "xr": "2"}, moments={"x": "1/0", "xr": "2"}))
+@settings(max_examples=300, deadline=None)
+def test_a_table_beside_a_theta_table_loads_as_entry_by_entry(spec):
+    """Whether or not a table reuses its theta table's words, the load gives
+    the items, order and value types that checking each entry gives, or the
+    same first error."""
+    def items(table):
+        return None if table is None else [(key, type(v), v) for key, v in table.items()]
+
+    try:
+        want = _tables_entry_by_entry(spec)
+    except SpecError as exc:
+        with pytest.raises(SpecError) as info:
+            load_family(spec)
+        assert str(info.value) == str(exc)
+    else:
+        pure = load_family(spec).pures["a"]
+        assert [items(pure.table), items(pure.theta_table)] == [*map(items, want)]
+
+
+def test_a_moment_table_listing_the_theta_words_shares_their_tuples():
+    """deep_tables.json lists each pair's theta words in its moment table's
+    order, so the load splits and checks those keys once, whether the values
+    are strings and ints or ints alone.  Only the time of a load would show a
+    second split, so this pins the sharing itself."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "deep_tables.json")) as fh:
+        spec = json.load(fh)
+    ints = json.loads(json.dumps(spec))
+    for pair in ints["pairs"]:
+        pair["moments"] = dict.fromkeys(pair["moments"], 1)
+    for source in (spec, ints):
+        for pure in load_family(source).pures.values():
+            assert len(pure.table) == len(pure.theta_table) == 62
+            assert all(map(operator.is_, pure.table, pure.theta_table))
+
+
+def test_a_key_that_is_not_a_string_is_a_spec_error():
+    """A dict source can hold keys that JSON cannot."""
+    with pytest.raises(SpecError) as info:
+        load_family(_with_moments({"x": 1, 5: 2}))
+    assert str(info.value) == "pair 'a' moments key 5 is not a word over ['x', 'xr']"
+
+
+EMPTY_WORD = "cumulants are defined for words of length >= 1"
+NO_PAIR = "no pure distribution for pair 'zz'"
+
+
+@pytest.mark.parametrize("call, error, base, message", [
+    (lambda: chi_precedes("lr", 1, 3), PositionError, IndexError,
+     "index out of range for chi of length 2"),
+    (lambda: chi_interval("lr", 1, 3), PositionError, IndexError, "index 3 out of range"),
+    (lambda: kappa(BifreeProduct(random_family(random.Random(1), max_degree=2)), ()),
+     SizeError, ValueError, EMPTY_WORD),
+    (lambda: kappa_via_mobius(BifreeProduct(random_family(random.Random(1), max_degree=2)), ()),
+     SizeError, ValueError, EMPTY_WORD),
+    (lambda: bifree_product_moment(random_family(random.Random(1), max_degree=2),
+                                   (Letter("z", "zz", "l"), Letter("z", "zz", "l"))),
+     UnknownPairError, KeyError, NO_PAIR),
+    (lambda: random_moment_pure("a", random.Random(1), max_degree=2).cumulant(()),
+     SizeError, ValueError, "cumulants need length >= 1"),
+    (lambda: replacement_expand(random_family(random.Random(1), max_degree=2),
+                                (Letter("z", "zz", "l"),), "b"),
+     UnknownPairError, KeyError, NO_PAIR),
+    (lambda: Letter("x", "a", "m"), DomainError, ValueError, "side must be 'l' or 'r', got 'm'"),
+    (lambda: subword((Letter("x", "a", "l"),), {2}), PositionError, IndexError,
+     "indices [2] out of range for word of length 1"),
+], ids=["chi_precedes", "chi_interval", "subtraction", "kappa_via_mobius",
+        "solve_projections", "pure-cumulant", "expand_tokens", "letter-side", "subword"])
+def test_a_library_raise_is_typed_and_keeps_its_builtin_base(call, error, base, message):
+    """Each is a BiFreeError, so the CLI's exit-2 catch takes it, and keeps the
+    builtin class and message that callers caught before."""
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, BiFreeError) and isinstance(info.value, base)
+    assert str(info.value) == message
 
 
 def test_absent_entries_and_the_empty_word():
