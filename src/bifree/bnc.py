@@ -4,11 +4,11 @@ A chi-map is a string over {l, r} giving the side of each position 1..n.
 An eps-map is a tuple of pair-color labels of the same length.
 The chi-order lists left positions ascending, then right positions descending.
 A chi-interval is a contiguous slice of the chi-order.  BNC(chi) is NC(n)
-carried through the chi-order, and `_nc_fold` is the one loop over it, a
-bottom-up sum over chi-order intervals that is generic in the semiring: it
-enumerates and it sums.  Only the closed interval sums that a caller passes
-in as `closed` outlive a call: the moment-cumulant subtraction shares them
-across the folds of one pass.
+carried through the chi-order, and `_nc_fold` is the loop over it that
+enumerates and that sums products: a bottom-up sum over chi-order intervals,
+generic in the semiring, whose tables live for one call.  The
+moment-cumulant subtraction sums top-down instead (`cumulants._subtraction`),
+since it shares its interval sums across every subword of one pass.
 """
 from __future__ import annotations
 
@@ -100,15 +100,14 @@ class BncPartition(namedtuple("BncPartition", "partition chi")):
         return self.partition.n
 
 
-def _nc_fold(colour, leaf, ring, top=False, caps=None, units=None, closed=None):
+def _nc_fold(colour, leaf, ring, top=False, caps=None):
     """Sum over the non-crossing partitions of range(len(colour)) with
     monochromatic blocks of the product of leaf(block, outer) over their
-    blocks.  ring is (one, mul, add, close); None is the absorbing zero,
-    which the fold skips, so mul and add never see it.  A block is the sum of
-    units[k] over its ranks k, in rank order; units[k] is (k,) by default, so
-    a block is its tuple of ranks.  caps maps a colour to the most ranks a
-    block of it may hold: a block at its cap is not extended, so the sum is
-    the uncapped one when every longer block weighs None.
+    blocks, a block being the tuple of its ranks.  ring is (one, mul, add,
+    close); None is the absorbing zero, which the fold skips, so mul and add
+    never see it.  caps maps a colour to the most ranks a block of it may
+    hold: a block at its cap is not extended, so the sum is the uncapped one
+    when every longer block weighs None.
 
     The block of lo splits the ranks lo..hi-1 into its gaps and its tail, which
     are partitioned independently; sums[lo][hi] is that interval's closed sum.
@@ -122,19 +121,10 @@ def _nc_fold(colour, leaf, ring, top=False, caps=None, units=None, closed=None):
     written first.  A product with one itself, an empty gap or tail or the
     coefficient of a block with no gap yet, is not formed, so mul(one, x)
     and mul(x, one) must be worth x.
-
-    closed, if given, is a pair of dicts (inner, outer) from the block of all
-    of an interval's ranks to the interval's closed sum, which callers may
-    share across folds, since the sum depends only on those ranks and the
-    kind.  An interval found there is not summed.  On a miss the fold reads
-    the leaf of the interval's full block first, monochromatic or not,
-    because that leaf may close the interval itself, and looks again;
-    otherwise it sums the interval and stores it.
     """
     one, mul, add, close = ring
     n = len(colour)
-    if units is None:
-        units = [(k,) for k in range(n)]
+    units = [(k,) for k in range(n)]
     lows = [*map(colour.index, colour), -1]  # per hi, lo stays above this rank
     grow = [[] for _ in range(n)]
     growing = {}  # colour -> the growth lists of its ranks below hi
@@ -146,17 +136,7 @@ def _nc_fold(colour, leaf, ring, top=False, caps=None, units=None, closed=None):
         for later in lists:
             later.append(hi - 1)
         lists.append(grow[hi - 1])
-        if closed:
-            table = closed[outer]
         for lo in range(hi - 1, lows[hi], -1):
-            if closed:
-                whole = units[lo] if lo == hi - 1 else units[lo] + whole
-                if (acc := table.get(whole, table)) is table:
-                    leaf(whole, outer)
-                    acc = table.get(whole, table)
-                if acc is not table:
-                    sums[lo][hi] = acc
-                    continue
             acc = None
             # Partial blocks holding lo: (block, last rank, product of the gap sums).
             pending, nexts = [(units[lo], lo, one)], grow
@@ -178,9 +158,7 @@ def _nc_fold(colour, leaf, ring, top=False, caps=None, units=None, closed=None):
                     if (gap := row[j]) is not None:
                         pending.append((block + units[j], j, gap if coeff is one else
                                         coeff if gap is one else mul(coeff, gap)))
-            sums[lo][hi] = acc = None if acc is None else close(acc)
-            if closed:
-                table[whole] = acc
+            sums[lo][hi] = None if acc is None else close(acc)
     return sums[0][n]
 
 

@@ -311,29 +311,6 @@ def test_capped_fold_sums_without_the_blocks_past_the_cap(colour_caps, top, seed
         assert reads == today_reads
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda k: st.lists(st.integers(0, k - 1), min_size=1,
-                                                     max_size=6)),
-       st.booleans(), st.integers(0, 2**32))
-def test_shared_closed_table_gives_the_fresh_fold(colour, top, seed):
-    """Every subset of the ranks, shortest first, folded with its ranks' bits
-    as units and one closed table for all of them, sums what a fresh fold over
-    the subset's ranks sums."""
-    n = len(colour)
-    subsets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
-    for ring in (_EXACT, _LISTS):
-        errors, closed = {}, ({}, {})
-        weight = logged_leaf(seed, ring, errors, [])
-        for subset in subsets:
-            sub_colour = [colour[k] for k in subset]
-            got = _nc_fold(sub_colour, lambda mask, outer: weight(
-                               tuple(k for k in range(n) if mask >> k & 1), outer),
-                           ring, top, units=[1 << k for k in subset], closed=closed)
-            want = _nc_fold(sub_colour, lambda block, outer: weight(
-                                tuple(subset[k] for k in block), outer), ring, top)
-            assert got == want
-
-
 @pytest.mark.parametrize("build, fields, text", [
     (lambda: SetPartition.of(2, [(2, 1)]), ("n", "blocks"),
      "SetPartition(n=2, blocks=((1, 2),))"),

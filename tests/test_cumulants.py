@@ -676,6 +676,31 @@ def test_subtraction_leaves_no_garbage():
         gc.enable()
 
 
+def test_subtraction_runs_no_fold_and_reads_each_word_once(monkeypatch):
+    """The pass sums each subword top-down over its bitmasks: on a 6-letter
+    one-pair word it calls bnc._nc_fold in neither pass, and reads no word of
+    value twice.  A fold per subword made 30 calls here in each pass."""
+    folds = []
+    fold = cumulants._nc_fold
+    monkeypatch.setattr(cumulants, "_nc_fold", lambda *args, **kwargs: folds.append(args)
+                        or fold(*args, **kwargs))
+    al, ar = Letter("al", "a", "l"), Letter("ar", "a", "r")
+    w = (al, ar) * 3
+    for inner in (None, lambda s: Fraction(1, len(s) + 1)):
+        reads = collections.Counter()
+
+        def value(sub):
+            reads[sub] += 1
+            return Fraction(len(sub) + 1, 3)
+
+        if inner is None:
+            kappa_from_phi(value, w)
+        else:
+            conditional_kappa_from(value, inner, w)
+        assert folds == []
+        assert w in reads and max(reads.values()) == 1
+
+
 def test_two_letter_projections_enter_no_plain_subtraction(monkeypatch):
     """A cold conditional_product_theta on a word whose pairs have two letters
     each asks them only for the conditional cumulant: its subtraction reads no
