@@ -5,10 +5,10 @@ An eps-map is a tuple of pair-color labels of the same length.
 The chi-order lists left positions ascending, then right positions descending.
 A chi-interval is a contiguous slice of the chi-order.  BNC(chi) is NC(n)
 carried through the chi-order, and `_nc_fold` is the loop over it that
-enumerates and that sums products: a bottom-up sum over chi-order intervals,
-generic in the semiring, whose tables live for one call.  The
-moment-cumulant subtraction sums top-down instead (`cumulants._subtraction`),
-since it shares its interval sums across every subword of one pass.
+enumerates and that sums products: a sum over chi-order intervals by first
+rank, last to first, growing each block once, generic in the semiring and
+with tables that live for one call.  The moment-cumulant subtraction sums
+top-down (`cumulants._subtraction`): it shares its sums across one pass.
 """
 from __future__ import annotations
 
@@ -106,59 +106,66 @@ def _nc_fold(colour, leaf, ring, top=False, caps=None):
     blocks, a block being the tuple of its ranks.  ring is (one, mul, add,
     close); None is the absorbing zero, which the fold skips, so mul and add
     never see it.  caps maps a colour to the most ranks a block of it may
-    hold: a block at its cap is not extended, so the sum is the uncapped one
-    when every longer block weighs None.
+    hold: a block at its cap is not grown, so the sum is the uncapped one,
+    term by term, when every longer block weighs None.
 
     The block of lo splits the ranks lo..hi-1 into its gaps and its tail, which
     are partitioned independently; sums[lo][hi] is that interval's closed sum.
-    One loop fills it bottom-up: by hi, then by lo descending, so every tail
-    and gap a block reads is already closed.  With top, the intervals that end
-    at n are the outer ones.  The leaf is read only if the tail is not zero.
+    One loop fills it by lo descending, so every tail and gap a block reads is
+    already closed: each block of lo grows once and adds its term to every
+    interval [lo, hi) past its last rank, in the order in which a loop per
+    interval pops it.  With top, the interval that ends at n is the outer one.
+    The leaf is read only if a tail is not zero, at most once per outer flag.
     An interval with hi < n is read only within a gap that ends at hi, so it
-    is summed only when a rank of hi's colour precedes lo; grow[i] holds the
-    ranks of the colour of i after i and below hi.  sums starts as one
-    everywhere: the empty intervals keep it, and every other entry read is
-    written first.  A product with one itself, an empty gap or tail or the
-    coefficient of a block with no gap yet, is not formed, so mul(one, x)
-    and mul(x, one) must be worth x.
+    is summed only when a rank of hi's colour precedes lo; ends[lo] lists
+    those hi, and n, descending.  sums starts as one on the empty intervals,
+    and every other entry read is written first.  A product with one itself,
+    an empty gap or tail or the coefficient of a block with no gap yet, is
+    not formed, so mul(one, x) and mul(x, one) must be worth x.
     """
     one, mul, add, close = ring
     n = len(colour)
     units = [(k,) for k in range(n)]
-    lows = [*map(colour.index, colour), -1]  # per hi, lo stays above this rank
-    grow = [[] for _ in range(n)]
-    growing = {}  # colour -> the growth lists of its ranks below hi
-    sums = [[one] * (n + 1) for _ in range(n + 1)]
-    stop = [()] * n  # the growth table of a capped interval: no block grows in its loop
-    for hi in range(1, n + 1):
-        outer = top and hi == n
-        lists = growing.setdefault(colour[hi - 1], [])
-        for later in lists:
-            later.append(hi - 1)
-        lists.append(grow[hi - 1])
-        for lo in range(hi - 1, lows[hi], -1):
-            acc = None
-            # Partial blocks holding lo: (block, last rank, product of the gap sums).
-            pending, nexts = [(units[lo], lo, one)], grow
-            if caps and (cap := caps.get(colour[lo])):
-                # every block up to the cap is grown here, and none in the loop below
-                nexts, level = stop, pending
-                for _ in range(cap - 1):
-                    level = [(block + units[j], j, mul(coeff, gap)) for block, last, coeff in level
-                             for j in grow[last] if (gap := sums[last + 1][j]) is not None]
-                    pending += level
-            while pending:
-                block, last, coeff = pending.pop()
-                row = sums[last + 1]
-                if (tail := row[hi]) is not None and (weight := leaf(block, outer)) is not None:
-                    term = mul(tail if coeff is one else coeff if tail is one
-                               else mul(coeff, tail), weight)
-                    acc = term if acc is None else add(acc, term)
-                for j in nexts[last]:
+    ranks_of, later = {}, [()] * n  # later[i]: the ranks of the colour of i after i
+    for k, c in enumerate(colour):
+        ranks_of.setdefault(c, []).append(k)
+    for ranks in ranks_of.values():
+        for m, k in enumerate(ranks, 1):
+            later[k] = ranks[m:]
+    ends = [[n] for _ in range(n)]
+    for hi in range(n - 1, 0, -1):
+        for lo in range(ranks_of[colour[hi]][0] + 1, hi):
+            ends[lo].append(hi)
+    sums = [[None] * k + [one] + [None] * (n - k) for k in range(n + 1)]
+    unread = object()
+    for lo in range(n - 1, -1, -1):
+        acc, his = sums[lo], ends[lo]
+        cap = caps.get(colour[lo], n) if caps else n
+        # Partial blocks holding lo: (block, last rank, product of the gap sums).
+        pending = [(units[lo], lo, one)]
+        while pending:
+            block, last, coeff = pending.pop()
+            row, outer, weight = sums[last + 1], top, unread
+            for hi in his:
+                if hi <= last:
+                    break
+                if (tail := row[hi]) is not None:
+                    if weight is unread:
+                        weight = leaf(block, outer)
+                    if weight is not None:
+                        term = mul(tail if coeff is one else coeff if tail is one
+                                   else mul(coeff, tail), weight)
+                        acc[hi] = term if (s := acc[hi]) is None else add(s, term)
+                if outer:  # past n every interval is inner
+                    outer, weight = False, unread
+            if len(block) < cap:
+                for j in later[last]:
                     if (gap := row[j]) is not None:
                         pending.append((block + units[j], j, gap if coeff is one else
                                         coeff if gap is one else mul(coeff, gap)))
-            sums[lo][hi] = None if acc is None else close(acc)
+        for hi in his:
+            if (s := acc[hi]) is not None:
+                acc[hi] = close(s)
     return sums[0][n]
 
 

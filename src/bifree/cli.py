@@ -40,8 +40,8 @@ from .vaccine import vaccine_reconstruct_moment, vaccine_test
 UBM_MAX_N = 3000
 # `--word` above this many letters exits 2 before any work.  The limit guards
 # time: words far shorter are out of reach, since `moment --spec
-# tests/data/two_pairs.json` on 20 letters `al` took 3.3-3.9 s of CPU, and two
-# more letters about 4.5 times as long (three runs each; see the README).
+# tests/data/two_pairs.json` on 20 letters `al` took 2.3-2.4 s of CPU, and two
+# more letters about 4 to 4.5 times as long (three runs each; see the README).
 WORD_MAX_LEN = 500
 # `check --method vaccine --trials` above this exits 2 before any work.  A
 # property that holds runs every trial: 10,000 trials at `--max-len 8` on

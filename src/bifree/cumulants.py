@@ -11,8 +11,8 @@ partitions of the letters read in chi-order, and the fold splits it at the
 block of the first letter into its gaps and its tail.  The subtraction that
 inverts moments into cumulants, `_subtraction`, makes the same split
 top-down instead: one pass over the subsets of a word's letters, kept as
-bitmasks, sums each subword it solves, reading every tail and gap from one
-table of closed interval sums that the whole pass shares.
+bitmasks, sums each subword it solves in place as integers, reading every
+tail and gap from one table of closed interval sums that the pass shares.
 """
 from __future__ import annotations
 
@@ -47,26 +47,21 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False):
     by_pair keeps only the partitions whose blocks are eps-monochromatic.
 
     The sum is bnc._nc_fold over the letters in chi-order, read off their
-    sides, and a block's weight is read once per top flag.  A weight that
-    raises InsufficientDataError marks its block missing, and the sum raises
-    only if some partition has a missing block and no block of weight 0.
-    The explicit sum, which reads each partition's blocks up to the first 0,
-    raises on that partition too.
+    sides, which reads a block's weight at most once per top flag.  A
+    weight that raises InsufficientDataError marks its block missing, and
+    the sum raises only if some partition has a missing block and no block
+    of weight 0.  The explicit sum, which reads each partition's blocks up
+    to the first 0, raises on that partition too.
     """
     order = _chi_order(chi_of(w))
-    memos = ({}, {})  # block of ranks -> (num, den, flag) or None, per top flag
 
     def leaf(block, top):
-        memo = memos[top]
-        if (entry := memo.get(block, memo)) is memo:
-            sub = tuple([w[p] for p in sorted([order[k] for k in block])])
-            try:
-                v = (top_weight if top else weight)(sub)
-                entry = (num, v.denominator, True) if (num := v.numerator) else None
-            except InsufficientDataError as err:
-                entry = (0, 1, err)
-            memo[block] = entry
-        return entry
+        sub = tuple([w[p] for p in sorted([order[k] for k in block])])
+        try:
+            v = (top_weight if top else weight)(sub)
+        except InsufficientDataError as err:
+            return 0, 1, err
+        return (num, v.denominator, True) if (num := v.numerator) else None
 
     colour = [w[p].pair if by_pair else None for p in order]
     num, den, flag = _nc_fold(colour, leaf, _EXACT, top_weight is not None) or (0, 1, True)
@@ -102,8 +97,9 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
     its kind: outer if it ends the subword in chi-order.  x(S) reads value(S),
     then sums S with its full block weighing zero, top-down over S's ranks:
     the block of the first rank grows through the later ones, tail before
-    leaf and only through nonzero gaps, in bnc._nc_fold's order of products,
-    which would build every interval of S to sum S alone.  Tails and gaps are
+    leaf and only through nonzero gaps, in bnc._nc_fold's order of terms;
+    each term is added in place as integers by _EXACT's rules, a zero term
+    to the flag only, so each closed sum is _EXACT's.  Tails and gaps are
     read from the table by a prefix-mask difference: a tail per block, the
     gaps once per last rank.  On a miss the sum reads the interval's
     full-block weight first, which solves an outer interval, and looks again;
@@ -128,7 +124,7 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
     weights = ({}, {}) if inner is not None else ({},) * 2
     closed = ({}, {}) if inner is not None else ({},) * 2
     gaps = closed[0]
-    one, mul, add, close = _EXACT
+    one, mul, _, close = _EXACT
 
     def solve(mask, sub):
         p, q = value(sub).as_integer_ratio()  # value - sum, built as one Fraction
@@ -147,11 +143,13 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
     def interval(units, prefix, lo, hi, outer):
         """The closed sum over units[lo:hi], which the table misses: looked up
         again after the full block's weight, else summed and stored."""
-        table, whole = closed[outer], prefix[hi] - prefix[lo]
-        weight(whole, outer)
+        table, whole, read = closed[outer], prefix[hi] - prefix[lo], weights[outer]
+        if whole not in read:
+            weight(whole, outer)
         if (acc := table.get(whole, table)) is not table:
             return acc
-        acc, rows = None, [None] * hi
+        # The sum so far, by _EXACT's rules; flag is None until a term is added.
+        num, den, flag, rows = 0, 1, None, [None] * hi
         # Partial blocks holding lo: (mask, last rank, product of the gap sums).
         pending = [(units[lo], lo, one)]
         while pending:
@@ -160,10 +158,16 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
                 tail = one
             elif (tail := table.get(prefix[hi] - prefix[start], table)) is table:
                 tail = interval(units, prefix, start, hi, outer)
-            if tail is not None and (factor := weight(block, outer)) is not None:
-                term = mul(tail if coeff is one else coeff if tail is one
-                           else mul(coeff, tail), factor)
-                acc = term if acc is None else add(acc, term)
+            if tail is not None:
+                if (factor := read.get(block, read)) is read:
+                    factor = weight(block, outer)
+                if factor is not None:
+                    if flag is None or flag is True:
+                        flag = (coeff[2] if coeff[2] is not True else
+                                tail[2] if tail[2] is not True else factor[2])
+                    if p := coeff[0] * tail[0] * factor[0]:
+                        q = coeff[1] * tail[1] * factor[1]
+                        num, den = num * q + p * den, den * q
             if start == hi:
                 continue
             if (nexts := rows[last]) is None:  # the ranks after last and their gap sums
@@ -176,7 +180,7 @@ def _subtraction(value, w, memo, inner=None) -> Fraction:
             for unit, j, gap in nexts:
                 pending.append((block + unit, j, gap if coeff is one else
                                 coeff if gap is one else mul(coeff, gap)))
-        table[whole] = acc = None if acc is None else close(acc)
+        table[whole] = acc = None if flag is None else close((num, den, flag))
         return acc
 
     def weight(mask, outer):

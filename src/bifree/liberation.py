@@ -260,25 +260,20 @@ def _expand_tokens(ctx: ReplacementContext, tokens):
     order = _chi_order(chi_of(word))
     if missing := [t.pair for t in tokens if isinstance(t, Letter) and t.pair not in ctx.pures]:
         raise UnknownPairError(f"no pure distribution for pair {missing[0]!r}")
-    memo = {}
 
     def leaf(block, outer):
-        if (entry := memo.get(block, memo)) is memo:
-            ps = sorted([order[k] for k in block])
-            sub = tuple([word[p] for p in ps])
-            if not psi[ps[0]]:
-                try:
-                    v = ctx.pures[sub[0].pair].cumulant(sub)
-                    entry = (v.numerator, 0, v.denominator, True) if v else None
-                except InsufficientDataError as err:
-                    entry = (0, 0, 1, err)
-            elif len(ps) == 1:
-                entry = _ORDER_T[0]
-            else:
-                v = psi[ps[0]] * psi[ps[1]] * ctx.sem.cumulant(sub)
-                entry = (0, v.numerator, v.denominator, True) if v else None
-            memo[block] = entry
-        return entry
+        ps = sorted([order[k] for k in block])
+        sub = tuple([word[p] for p in ps])
+        if not psi[ps[0]]:
+            try:
+                v = ctx.pures[sub[0].pair].cumulant(sub)
+            except InsufficientDataError as err:
+                return 0, 0, 1, err
+            return (v.numerator, 0, v.denominator, True) if v else None
+        if len(ps) == 1:
+            return _ORDER_T[0]
+        v = psi[ps[0]] * psi[ps[1]] * ctx.sem.cumulant(sub)
+        return (0, v.numerator, v.denominator, True) if v else None
 
     num0, num1, den, flag = _nc_fold([word[p].pair for p in order], leaf, _ORDER_T,
                                      caps={ctx.sem.pair: 2}) or (0, 0, 1, True)

@@ -1,7 +1,6 @@
 import gc
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -236,17 +235,17 @@ def logged_leaf(seed, ring, errors, reads):
 @given(st.integers(1, 3).flatmap(lambda k: st.lists(st.integers(0, k - 1), max_size=9)),
        st.booleans(), st.integers(0, 2**32))
 def test_fold_matches_recursive_oracle(colour, top, seed):
-    """Same sum and same multiset of leaf reads as the recursion, and the same
-    partitions in the same order."""
+    """Same sum, flag object included, and the same set of leaf reads as the
+    recursion, none read twice; and the same partitions in the same order."""
     for ring in (_EXACT, _LISTS):
         errors, reads, oracle_reads = {}, [], []
         got = _nc_fold(colour, logged_leaf(seed, ring, errors, reads), ring, top)
         want = recursive_nc_fold(colour, logged_leaf(seed, ring, errors, oracle_reads), ring, top)
         assert got == want
-        assert Counter(reads) == Counter(oracle_reads)
+        assert len(set(reads)) == len(reads) and set(reads) == set(oracle_reads)
 
-# The bottom-up loop as it was before it took caps, kept as the oracle of the
-# order in which the uncapped fold reads its leaves.
+# The bottom-up loop as it was before it took caps, one interval at a time:
+# the oracle of the sum, term by term, and of the set of leaves it reads.
 def uncapped_nc_fold(colour, leaf, ring, top=False):
     one, mul, add, close = ring
     n = len(colour)
@@ -274,14 +273,6 @@ def uncapped_nc_fold(colour, leaf, ring, top=False):
     return sums[0][n]
 
 
-def _settled(ring, total):
-    """A fold's sum up to the order of its terms: the value and whether it is
-    missing an entry, or the multiset of partitions."""
-    if total is None or ring is _EXACT:
-        return total and (total[:2], total[2] is True)
-    return Counter(tuple(sorted(p)) for p in total)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
            st.lists(st.integers(0, k - 1), max_size=9),
@@ -289,11 +280,11 @@ def _settled(ring, total):
        st.booleans(), st.integers(0, 2**32))
 def test_capped_fold_sums_without_the_blocks_past_the_cap(colour_caps, top, seed):
     """Capped, the fold never reads a block past its colour's cap and sums what
-    the uncapped fold sums when those blocks weigh zero; with no caps it reads
-    the leaves in the order it read them before it took caps."""
+    the uncapped fold sums when those blocks weigh zero, term by term; with no
+    caps it reads the leaves the loop per interval read, none of them twice."""
     colour, caps = colour_caps
     for ring in (_EXACT, _LISTS):
-        errors, reads, capped_reads, today_reads = {}, [], [], []
+        errors, reads, capped_reads, loop_reads = {}, [], [], []
 
         def cut(reads):
             """The logged leaf, read as zero past the cap."""
@@ -305,10 +296,27 @@ def test_capped_fold_sums_without_the_blocks_past_the_cap(colour_caps, top, seed
 
         want = _nc_fold(colour, cut(reads), ring, top)
         got = _nc_fold(colour, cut(capped_reads), ring, top, caps)
-        assert _settled(ring, got) == _settled(ring, want)
+        assert got == want
         assert all(len(block) <= caps.get(colour[block[0]], 9) for block, _ in capped_reads)
-        assert want == uncapped_nc_fold(colour, cut(today_reads), ring, top)
-        assert reads == today_reads
+        assert want == uncapped_nc_fold(colour, cut(loop_reads), ring, top)
+        assert len(set(reads)) == len(reads) and set(reads) == set(loop_reads)
+
+
+@pytest.mark.parametrize("top, calls", [(False, 255), (True, 318)])
+def test_fold_reads_each_block_once_per_outer_flag(top, calls):
+    """One colour of 8 ranks and a leaf that is never zero: the fold reads each
+    of the 255 blocks once, and with top also, as inner, the 63 blocks within
+    ranks 1..6, which close the intervals that end before the last rank.  A
+    loop per interval reads a block once per interval that holds it: 375
+    reads either way."""
+    reads = []
+
+    def leaf(block, outer):
+        reads.append((block, outer))
+        return 1, 1, True
+
+    assert _nc_fold([0] * 8, leaf, _EXACT, top) == (1430, 1, True)  # the Catalan number C_8
+    assert len(reads) == len(set(reads)) == calls
 
 
 @pytest.mark.parametrize("build, fields, text", [
