@@ -5,10 +5,11 @@ An eps-map is a tuple of pair-color labels of the same length.
 The chi-order lists left positions ascending, then right positions descending.
 A chi-interval is a contiguous slice of the chi-order.  BNC(chi) is NC(n)
 carried through the chi-order, and `_nc_fold` is the loop over it that
-enumerates and that sums products: a sum over chi-order intervals by first
-rank, last to first, growing each block once, generic in the semiring and
-with tables that live for one call.  The moment-cumulant subtraction sums
-top-down (`cumulants._subtraction`): it shares its sums across one pass.
+enumerates and sums products over a word's sides and colours: a sum over
+chi-order intervals by first rank, last to first, growing each block once,
+generic in the semiring, with tables that live for one call.  The
+moment-cumulant subtraction sums top-down (`cumulants._subtraction`): it
+shares its sums across one pass.
 """
 from __future__ import annotations
 
@@ -100,32 +101,34 @@ class BncPartition(namedtuple("BncPartition", "partition chi")):
         return self.partition.n
 
 
-def _nc_fold(colour, leaf, ring, top=False, caps=None):
-    """Sum over the non-crossing partitions of range(len(colour)) with
-    monochromatic blocks of the product of leaf(block, outer) over their
-    blocks, a block being the tuple of its ranks.  ring is (one, mul, add,
-    close); None is the absorbing zero, which the fold skips, so mul and add
-    never see it.  caps maps a colour to the most ranks a block of it may
-    hold: a block at its cap is not grown, so the sum is the uncapped one,
-    term by term, when every longer block weighs None.
+def _nc_fold(chi, eps, leaf, ring, top=False, caps=None):
+    """Sum over the partitions in BNC(chi) with eps-monochromatic blocks of
+    the product of leaf(block, outer) over their blocks, a block being the
+    tuple of its 0-based positions in increasing order.  ring is (one, mul,
+    add, close); None is the absorbing zero, which the fold skips, so mul and
+    add never see it.  caps maps a colour to the most positions a block of it
+    may hold: a block at its cap is not grown, so the sum is the uncapped
+    one, term by term, when every longer block weighs None.
 
-    The block of lo splits the ranks lo..hi-1 into its gaps and its tail, which
-    are partitioned independently; sums[lo][hi] is that interval's closed sum.
-    One loop fills it by lo descending, so every tail and gap a block reads is
-    already closed: each block of lo grows once and adds its term to every
-    interval [lo, hi) past its last rank, in the order in which a loop per
-    interval pops it.  With top, the interval that ends at n is the outer one.
-    The leaf is read only if a tail is not zero, at most once per outer flag.
-    An interval with hi < n is read only within a gap that ends at hi, so it
-    is summed only when a rank of hi's colour precedes lo; ends[lo] lists
-    those hi, and n, descending.  sums starts as one on the empty intervals,
-    and every other entry read is written first.  A product with one itself,
-    an empty gap or tail or the coefficient of a block with no gap yet, is
-    not formed, so mul(one, x) and mul(x, one) must be worth x.
+    The block of chi-order rank lo splits the ranks lo..hi-1 into its gaps and
+    its tail, which are partitioned independently; sums[lo][hi] is that
+    interval's closed sum.  One loop fills it by lo descending, so every tail
+    and gap a block reads is already closed: each block of lo grows once and
+    adds its term to every interval [lo, hi) past its last rank, in the order
+    in which a loop per interval pops it.  With top, the interval that ends at
+    n is the outer one.  The leaf is read only if a tail is not zero, at most
+    once per outer flag.  An interval with hi < n is read only within a gap
+    that ends at hi, so it is summed only when a rank of hi's colour precedes
+    lo; ends[lo] lists those hi, and n, descending.  sums starts as one on the
+    empty intervals, and every other entry read is written first.  A product
+    with one itself, an empty gap or tail or the coefficient of a block with
+    no gap yet, is not formed, so mul(one, x) and mul(x, one) must be worth x.
     """
     one, mul, add, close = ring
-    n = len(colour)
-    units = [(k,) for k in range(n)]
+    order = _chi_order(chi)
+    n = len(order)
+    colour = [eps[p] for p in order]
+    units = [(p,) for p in order]
     ranks_of, later = {}, [()] * n  # later[i]: the ranks of the colour of i after i
     for k, c in enumerate(colour):
         ranks_of.setdefault(c, []).append(k)
@@ -141,7 +144,7 @@ def _nc_fold(colour, leaf, ring, top=False, caps=None):
     for lo in range(n - 1, -1, -1):
         acc, his = sums[lo], ends[lo]
         cap = caps.get(colour[lo], n) if caps else n
-        # Partial blocks holding lo: (block, last rank, product of the gap sums).
+        # Partial blocks holding lo: (positions by rank, last rank, product of the gap sums).
         pending = [(units[lo], lo, one)]
         while pending:
             block, last, coeff = pending.pop()
@@ -151,7 +154,7 @@ def _nc_fold(colour, leaf, ring, top=False, caps=None):
                     break
                 if (tail := row[hi]) is not None:
                     if weight is unread:
-                        weight = leaf(block, outer)
+                        weight = leaf(tuple(sorted(block)), outer)
                     if weight is not None:
                         term = mul(tail if coeff is one else coeff if tail is one
                                    else mul(coeff, tail), weight)
@@ -189,16 +192,12 @@ def enumerate_bnc_leq_eps(chi: str, eps: tuple):
 
 
 def _bnc_fold(chi, eps):
-    order = s_chi_permutation(chi)
+    s_chi_permutation(chi)  # the fold would list one empty partition for chi = ""
     if len(eps) != len(chi):
         raise SizeError(f"eps length {len(eps)} != chi length {len(chi)}")
     if len(chi) > MAX_GROUND_SET:
         raise SizeError(f"chi length {len(chi)} exceeds cap {MAX_GROUND_SET}")
-
-    def leaf(block, outer):
-        return ((tuple(sorted(order[k] for k in block)),),)
-
-    parts = _nc_fold([eps[elem - 1] for elem in order], leaf, _LISTS)
+    parts = _nc_fold(chi, eps, lambda block, outer: ((tuple([p + 1 for p in block]),),), _LISTS)
     return map(tuple, map(sorted, parts))
 
 
@@ -267,7 +266,7 @@ def bnc_mobius(lower: BncPartition, upper: BncPartition) -> int:
     if lower.chi != upper.chi:
         raise SizeError("chi maps differ")
     for bp in (lower, upper):
-        BncPartition.of(bp.partition, bp.chi)  # a crossing argument raises ValueError
+        BncPartition.of(bp.partition, bp.chi)  # a crossing argument raises DomainError
     if not refines(lower.partition, upper.partition):
         raise OrderError("lower does not refine upper")
     return _mobius(lower.partition, upper.partition, lower.chi)

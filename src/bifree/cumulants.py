@@ -5,14 +5,15 @@ Word -> Fraction with phi(()) == 1, and a pure distribution is any object
 with .cumulant / .conditional_cumulant methods (see distributions.py).
 
 Moments from cumulants and the product sums go through `_nc_sum`, which is
-`bnc._nc_fold` over exact integer fractions: BNC(chi) is NC(n) carried
-through the chi-order, so a sum over BNC(chi) is a sum over non-crossing
-partitions of the letters read in chi-order, and the fold splits it at the
-block of the first letter into its gaps and its tail.  The subtraction that
-inverts moments into cumulants, `_subtraction`, makes the same split
-top-down instead: one pass over the subsets of a word's letters, kept as
-bitmasks, sums each subword it solves in place as integers, reading every
-tail and gap from one table of closed interval sums that the pass shares.
+`bnc._nc_fold` over a word's sides and pairs in exact integer fractions: the
+fold reads the letters in chi-order, where BNC(chi) is NC(n), and splits a
+sum at the block of the first letter into its gaps and its tail.  For a
+product sum `_nc_sum` itself first asks each pair for its weights.  The
+subtraction that inverts moments into cumulants, `_subtraction`, makes the
+same split top-down instead: one pass over the subsets of a word's letters,
+kept as bitmasks, sums each subword it solves in place as integers, reading
+every tail and gap from one table of closed interval sums that the pass
+shares.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from math import gcd
 from .bnc import BncPartition, _chi_order, _mobius, _nc_fold, enumerate_bnc
 from .errors import InsufficientDataError, SizeError, UnknownPairError
 from .partitions import SetPartition
-from .words import ScanVerdict, chi_of, scan, subword
+from .words import ScanVerdict, chi_of, eps_of, scan, subword
 
 
 # A sum over a set of partitions is carried as (num, den, flag): its value is
@@ -44,34 +45,45 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False):
     A block weighs weight(block subword), or top_weight(block subword) when
     top_weight is given and the block is outer (no other block chi-surrounds
     it: in chi-order, outer blocks are the blocks at the top level).
-    by_pair keeps only the partitions whose blocks are eps-monochromatic.
+    by_pair keeps only the partitions whose blocks are eps-monochromatic, and
+    first asks each pair, by its first letter in w, for the weights of all
+    its letters: one subtraction per pair then solves every block of it that
+    the fold reads, short ones first, which would each start their own.  One
+    letter asks nothing; with top_weight, two ask only top_weight, since its
+    subtraction reads no plain cumulant, and three or more ask both.  A
+    missing entry is left to the fold.
 
-    The sum is bnc._nc_fold over the letters in chi-order, read off their
-    sides, which reads a block's weight at most once per top flag.  A
-    weight that raises InsufficientDataError marks its block missing, and
-    the sum raises only if some partition has a missing block and no block
-    of weight 0.  The explicit sum, which reads each partition's blocks up
-    to the first 0, raises on that partition too.
+    The sum is bnc._nc_fold over w, which reads a block's weight at most
+    once per top flag.  A weight that raises InsufficientDataError marks its
+    block missing, and the sum raises only if some partition has a missing
+    block and no block of weight 0.  The explicit sum, which reads each
+    partition's blocks up to the first 0, raises on that partition too.
     """
-    order = _chi_order(chi_of(w))
+    if by_pair:
+        projections = {}
+        for letter in w:
+            projections.setdefault(letter.pair, []).append(letter)
+        for sub in map(tuple, projections.values()):
+            if len(sub) > 1:
+                for ask in ((weight,) if top_weight is None else (top_weight,)
+                            if len(sub) == 2 else (weight, top_weight)):
+                    try:
+                        ask(sub)
+                    except InsufficientDataError:
+                        pass
 
     def leaf(block, top):
-        sub = tuple([w[p] for p in sorted([order[k] for k in block])])
         try:
-            v = (top_weight if top else weight)(sub)
+            v = (top_weight if top else weight)(tuple([w[p] for p in block]))
         except InsufficientDataError as err:
             return 0, 1, err
         return (num, v.denominator, True) if (num := v.numerator) else None
 
-    colour = [w[p].pair if by_pair else None for p in order]
-    num, den, flag = _nc_fold(colour, leaf, _EXACT, top_weight is not None) or (0, 1, True)
+    eps = eps_of(w) if by_pair else (None,) * len(w)
+    num, den, flag = _nc_fold(chi_of(w), eps, leaf, _EXACT, top_weight is not None) or (0, 1, True)
     if flag is not True:
         raise flag
     return Fraction(num, den)
-
-
-def _pure_cumulant(pures):
-    return lambda sub: pures[sub[0].pair].cumulant(sub)
 
 
 def phi_pi(d, p: BncPartition, w) -> Fraction:
@@ -245,38 +257,17 @@ def bifree_product_moment(pures, w) -> Fraction:
     Sum over bi-non-crossing partitions with eps-monochromatic blocks of the
     products of blockwise pure cumulants.
     """
-    _solve_projections(pures, w, conditional=False)
-    return _nc_sum(w, _pure_cumulant(pures), by_pair=True)
+    return _nc_sum(w, _pure_weights(pures, w)[0], by_pair=True)
 
 
-def _solve_projections(pures, w, conditional):
-    """Ask each pair for the cumulant of its letters in w (and, if conditional,
-    for the conditional cumulant) before the fold does.  Two letters, if
-    conditional, ask only for the conditional one: its subtraction reads no
-    plain cumulant, and the fold asks for one itself if their block nests.
-
-    The fold reads short blocks first, and each would start a subtraction of
-    its own; asked first, one subtraction per pair solves every block of it
-    that the fold reads.  The pairs go by their first letter in w; a pair
-    with one letter has nothing to share and is left to the fold, and so is
-    a missing entry, which the fold raises only if it needs it.
-    """
-    projections = {}
+def _pure_weights(pures, w):
+    """The pure cumulant and the pure conditional cumulant of a one-pair
+    subword, each read from its pair's pure; every pair of w must have one."""
     for letter in w:
-        projections.setdefault(letter.pair, []).append(letter)
-    for pair in projections:
-        if pair not in pures:
-            raise UnknownPairError(f"no pure distribution for pair {pair!r}")
-    for pair, letters in projections.items():
-        if len(letters) > 1:
-            pure, sub = pures[pair], tuple(letters)
-            asks = (pure.conditional_cumulant,) if len(sub) == 2 else (
-                pure.cumulant, pure.conditional_cumulant)
-            for ask in asks if conditional else (pure.cumulant,):
-                try:
-                    ask(sub)
-                except InsufficientDataError:
-                    pass
+        if letter.pair not in pures:
+            raise UnknownPairError(f"no pure distribution for pair {letter.pair!r}")
+    return (lambda sub: pures[sub[0].pair].cumulant(sub),
+            lambda sub: pures[sub[0].pair].conditional_cumulant(sub))
 
 
 def conditional_kappa_from(theta, kappa_fn, w, memo=None) -> Fraction:
@@ -296,7 +287,4 @@ def conditional_product_theta(pures, w) -> Fraction:
     Sum over eps-monochromatic bi-non-crossing partitions with blockwise pure
     kappa on inner blocks and pure conditional cumulants on outer blocks.
     """
-    _solve_projections(pures, w, conditional=True)
-    return _nc_sum(w, _pure_cumulant(pures),
-                   top_weight=lambda sub: pures[sub[0].pair].conditional_cumulant(sub),
-                   by_pair=True)
+    return _nc_sum(w, *_pure_weights(pures, w), by_pair=True)

@@ -11,10 +11,10 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .bnc import _chi_order, _nc_fold, s_chi_permutation
+from .bnc import _nc_fold, s_chi_permutation
 from .distributions import BifreeProduct, builtin_semicircular_pair
 from .errors import DomainError, InsufficientDataError, ModeError, UnknownPairError
-from .words import Letter, ScanVerdict, TensorSum, chi_of, scan, subword
+from .words import Letter, ScanVerdict, TensorSum, chi_of, eps_of, scan, subword
 
 
 def taur(w, iota) -> TensorSum:
@@ -257,12 +257,10 @@ def _expand_tokens(ctx: ReplacementContext, tokens):
     """
     word = [t if isinstance(t, Letter) else ctx.s_letter[t[0]] for t in tokens]
     psi = [0 if isinstance(t, Letter) else t[1] for t in tokens]
-    order = _chi_order(chi_of(word))
     if missing := [t.pair for t in tokens if isinstance(t, Letter) and t.pair not in ctx.pures]:
         raise UnknownPairError(f"no pure distribution for pair {missing[0]!r}")
 
-    def leaf(block, outer):
-        ps = sorted([order[k] for k in block])
+    def leaf(ps, outer):
         sub = tuple([word[p] for p in ps])
         if not psi[ps[0]]:
             try:
@@ -275,7 +273,7 @@ def _expand_tokens(ctx: ReplacementContext, tokens):
         v = psi[ps[0]] * psi[ps[1]] * ctx.sem.cumulant(sub)
         return (0, v.numerator, v.denominator, True) if v else None
 
-    num0, num1, den, flag = _nc_fold([word[p].pair for p in order], leaf, _ORDER_T,
+    num0, num1, den, flag = _nc_fold(chi_of(word), eps_of(word), leaf, _ORDER_T,
                                      caps={ctx.sem.pair: 2}) or (0, 0, 1, True)
     if flag is not True:
         # a pick's missing block lies in c0's partition with the pick split into two

@@ -9,7 +9,8 @@ from collections import namedtuple
 
 from .errors import DomainError, OrderError, SizeError
 
-# Bell(12) ~ 4.2M is the practical enumeration ceiling on a desk machine.
+# The enumeration ceiling on a desk machine: Bell(12) ~ 4.2M set partitions,
+# and Catalan(12) = 208,012 bi-non-crossing ones (bnc enum prints a line each).
 MAX_GROUND_SET = 12
 
 Blocks = tuple  # tuple of tuples of int, canonical order

@@ -12,10 +12,11 @@ expresses the table-with-perturbation mode.
 
 A file of any other shape raises SpecError, and so does a file that is not
 JSON or nests too deeply to decode.  Every key and value is checked at load,
-but a pure's table keeps each value as the literal it was written as: the
-pure distribution converts an entry to a Fraction each time it reads it and
-stores nothing back, so a query pays only for the entries it reads.  The
-perturbations, all of which the joint reads, are Fractions from the start.
+and a table that passes one check in C keeps each value as the literal it
+was written as: a pure converts an entry to a Fraction each time it reads it
+and stores nothing back, so a query pays only for the entries it reads.  A
+table with a literal of over 640 characters holds Fractions, and so do the
+perturbations, all of which the joint reads.
 A pair's moments or cumulants whose keys are its theta_moments keys in the
 same order, each a different word, take the theta table's words as keys:
 those key texts are split and checked once, and every value is checked.
@@ -43,10 +44,10 @@ _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
 # without error: it has a nonzero denominator, and no part can pass the
 # interpreter's limit on reading an integer, which is never set below 640
 # digits (sys.int_info.str_digits_check_threshold).
-_SAFE_LITERAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?", re.ASCII)
+_SAFE_LITERAL = r"[+-]?\d+(?:/0*[1-9]\d*)?"
 _SAFE_LENGTH = 640
 # safe literals joined by newlines, which no literal holds
-_SAFE_LITERALS = re.compile(rf"{_SAFE_LITERAL.pattern}(?:\n{_SAFE_LITERAL.pattern})*", re.ASCII)
+_SAFE_LITERALS = re.compile(rf"{_SAFE_LITERAL}(?:\n{_SAFE_LITERAL})*", re.ASCII)
 
 
 def parse_rational(v) -> Fraction:
@@ -67,27 +68,20 @@ def parse_rational(v) -> Fraction:
             "for reading an integer") from None
 
 
-def _literal(v):
-    """v itself when Fraction(v) reads it as parse_rational(v), else parse_rational(v)."""
-    if type(v) is int or (
-            type(v) is str and len(v) <= _SAFE_LENGTH and _SAFE_LITERAL.fullmatch(v)):
-        return v
-    return parse_rational(v)
-
-
 def _parse_table(mapping, what, symbols, texts=(), words=()):
     """A table whose keys are nonempty words over `symbols`, with checked literals.
 
-    One check in C passes a table that `_literal` keeps as it is; the loop over
-    the entries converts any other and raises for its first bad entry.  When
-    the keys are `texts` in their order and `words` holds one word per text,
-    as a table parsed from `texts` over `symbols` does, its words are the keys."""
+    One check in C passes a table whose literals Fraction reads as
+    parse_rational does, kept as written; the loop over the entries parses
+    any other table's values and raises for its first bad entry.  When the
+    keys are `texts` in their order and `words` holds one word per text, as
+    a table parsed from `texts` over `symbols` does, its words are the keys."""
     if not isinstance(mapping, dict):
         raise SpecError(f"{what} must be an object, got {type(mapping).__name__}")
     values = mapping.values()
     types = {*map(type, values)}
     reuse = len(words) == len(texts) and [*mapping] == [*texts]
-    # `_literal` keeps every int as it is, so only the strings are matched
+    # an int is kept as it is, so only the strings are matched
     strings = values if types <= {str} else [v for v in values if type(v) is str]
     joined = "\n".join(strings)
     try:  # a key that is not a string is left to the loop
@@ -105,7 +99,7 @@ def _parse_table(mapping, what, symbols, texts=(), words=()):
         key = tuple(text.split()) if isinstance(text, str) else ()
         if not key or not symbols.issuperset(key):
             raise SpecError(f"{what} key {text!r} is not a word over {sorted(symbols)}")
-        table[key] = _literal(v)
+        table[key] = parse_rational(v)
     return table
 
 

@@ -77,6 +77,10 @@ def test_a_bad_chi_is_a_domain_error():
     for call in (enumerate_bnc, lambda chi: maximal_mono_intervals(chi, ("a",) * 2)):
         with pytest.raises(DomainError):
             call("lx")
+    # the fold reads the empty chi as one empty partition: the enumerations refuse it
+    for call in (enumerate_bnc, lambda chi: enumerate_bnc_leq_eps(chi, ())):
+        with pytest.raises(DomainError, match="chi must be a nonempty string"):
+            call("")
 
 
 def test_chi_precedes():
@@ -239,7 +243,8 @@ def test_fold_matches_recursive_oracle(colour, top, seed):
     recursion, none read twice; and the same partitions in the same order."""
     for ring in (_EXACT, _LISTS):
         errors, reads, oracle_reads = {}, [], []
-        got = _nc_fold(colour, logged_leaf(seed, ring, errors, reads), ring, top)
+        got = _nc_fold("l" * len(colour), colour, logged_leaf(seed, ring, errors, reads),
+                       ring, top)
         want = recursive_nc_fold(colour, logged_leaf(seed, ring, errors, oracle_reads), ring, top)
         assert got == want
         assert len(set(reads)) == len(reads) and set(reads) == set(oracle_reads)
@@ -294,8 +299,8 @@ def test_capped_fold_sums_without_the_blocks_past_the_cap(colour_caps, top, seed
                 return None if len(block) > caps.get(colour[block[0]], 9) else weight
             return leaf
 
-        want = _nc_fold(colour, cut(reads), ring, top)
-        got = _nc_fold(colour, cut(capped_reads), ring, top, caps)
+        want = _nc_fold("l" * len(colour), colour, cut(reads), ring, top)
+        got = _nc_fold("l" * len(colour), colour, cut(capped_reads), ring, top, caps)
         assert got == want
         assert all(len(block) <= caps.get(colour[block[0]], 9) for block, _ in capped_reads)
         assert want == uncapped_nc_fold(colour, cut(loop_reads), ring, top)
@@ -315,7 +320,7 @@ def test_fold_reads_each_block_once_per_outer_flag(top, calls):
         reads.append((block, outer))
         return 1, 1, True
 
-    assert _nc_fold([0] * 8, leaf, _EXACT, top) == (1430, 1, True)  # the Catalan number C_8
+    assert _nc_fold("l" * 8, [0] * 8, leaf, _EXACT, top) == (1430, 1, True)  # the Catalan number C_8
     assert len(reads) == len(set(reads)) == calls
 
 

@@ -140,8 +140,11 @@ def test_bnc_mobius(capsys):
 
 
 def test_bnc_bad_chi_exits_2(capsys):
-    code, _, _ = run(capsys, "bnc", "enum", "--chi", "lxq")
-    assert code == 2
+    """The empty chi too: not one empty line and exit 0."""
+    for chi in ("lxq", ""):
+        code, out, err = run(capsys, "bnc", "enum", "--chi", chi)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: chi must be") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

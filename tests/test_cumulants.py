@@ -425,16 +425,17 @@ def test_truncated_phi_kappa_raises_only_where_partition_sum_raises(w, seed):
             assert got == _kappa_sum(_TruncatedTable(seed, fill), w, {})
 
 
-def test_kernel_chi_order_is_s_chi(monkeypatch):
-    """_nc_sum reads the chi-order off the letters' sides; with one pair per
-    letter, the colours it hands the fold name the positions in that order."""
-    colours = []
-    monkeypatch.setattr(cumulants, "_nc_fold", lambda colour, *args: colours.append(colour))
+def test_kernel_chi_order_is_s_chi():
+    """The fold reads the chi-order off the word's sides: with one pair per
+    letter it weighs the one-letter blocks by first rank, last to first, so
+    their positions, reversed, are s_chi."""
     for n in range(1, 9):
         for chi in itertools.product("lr", repeat=n):
             w = tuple(Letter("x", str(p), side) for p, side in enumerate(chi, 1))
-            cumulants._nc_sum(w, lambda sub: Fraction(1), by_pair=True)
-            assert colours.pop() == [str(p) for p in s_chi_permutation("".join(chi))]
+            reads = []
+            cumulants._nc_sum(w, lambda sub: reads.append(sub) or Fraction(1), by_pair=True)
+            assert [int(sub[0].pair) for sub in reversed(reads)] == list(
+                s_chi_permutation("".join(chi)))
 
 
 def test_kernel_refuses_a_side_other_than_l_or_r():
@@ -503,7 +504,8 @@ def _nc_sum(w, weight, top_weight=None, by_pair=False, skip_full=False, raw=Fals
         return entry
 
     colour = [w[p].pair if by_pair else None for p in order]
-    num, den, flag = _nc_fold(colour, leaf, _EXACT, top_weight is not None) or (0, 1, True)
+    num, den, flag = _nc_fold("l" * n, colour, leaf, _EXACT,
+                              top_weight is not None) or (0, 1, True)
     if flag is not True:
         raise flag
     return (num, den) if raw else Fraction(num, den)

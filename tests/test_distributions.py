@@ -40,6 +40,7 @@ from bifree import (
     subword,
     words_up_to,
 )
+from bifree import cumulants
 
 from conftest import (
     SWAPS,
@@ -558,3 +559,18 @@ def test_product_memo_never_returns_a_stale_value(w, swap_lists, rnd):
         for method, v in calls:
             assert getattr(d, method)(v) == want[method]
             assert getattr(d, method)(list(v)) == want[method]
+
+
+def test_phi_computes_each_commutation_class_once(monkeypatch):
+    """phi's memo answers a repeated word, and a spelling that swaps two
+    letters that commute (ar and bl), without a new product moment."""
+    calls = []
+    product_moment = cumulants.bifree_product_moment
+    monkeypatch.setattr(cumulants, "bifree_product_moment",
+                        lambda *args: calls.append(args) or product_moment(*args))
+    d = BifreeProduct(random_family(random.Random(42), max_degree=5))
+    (al, ar), (bl, br) = (d.pures[p].letters for p in "ab")
+    value = d.phi((al, ar, bl, br, al))
+    assert len(calls) == 1
+    assert d.phi((al, ar, bl, br, al)) == value and len(calls) == 1
+    assert d.phi((al, bl, ar, br, al)) == value and len(calls) == 1
